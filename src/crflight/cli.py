@@ -1,7 +1,6 @@
 """Command-line front end.
 
     crflight <subcommand> --config <path> [--out <dir>] [--seed <u64>]
-             [--threads <n>]
 
 Subcommands: sweep-l, sweep-rmax, sweep-delta, simulate, reliability,
 replicate-paper. Each writes CSV artifacts plus a run-manifest JSON
@@ -39,6 +38,9 @@ EXIT_UNESCAPABLE = 4
 EXIT_IO = 5
 
 log = logging.getLogger("crflight")
+
+# Sweep subcommand -> swept parameter
+SWEEP_SUBCOMMANDS = {"sweep-l": "l", "sweep-rmax": "r_max", "sweep-delta": "delta"}
 
 
 class RangeError(Exception):
@@ -81,7 +83,8 @@ def _default_sweep_values(name, cfg):
     return values
 
 
-def _run_sweep(name: str, cfg, out_dir: Path) -> int:
+def _run_sweep(subcommand: str, cfg, out_dir: Path) -> int:
+    name = SWEEP_SUBCOMMANDS[subcommand]
     values = _default_sweep_values(name, cfg)
     if not values or any(v <= 0 for v in values):
         raise RangeError(f"sweep values for {name} must be positive and non-empty")
@@ -92,7 +95,7 @@ def _run_sweep(name: str, cfg, out_dir: Path) -> int:
     out_path = out_dir / f"sweep_{name}.csv"
     with out_path.open("w", newline="") as fh:
         solver.write_sweep_csv(result, fh)
-    _write_manifest(out_dir, f"sweep-{name}", cfg, [out_path.name])
+    _write_manifest(out_dir, subcommand, cfg, [out_path.name])
     log.info("wrote %s (%d rows)", out_path, len(result.rows))
     return EXIT_OK
 
@@ -179,13 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crflight",
         description="Cosmic-ray strike flee simulator and code-distance solver")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("sweep-l", "sweep-rmax", "sweep-delta", "simulate",
-                 "reliability", "replicate-paper"):
+    for name in (*SWEEP_SUBCOMMANDS, "simulate", "reliability", "replicate-paper"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=Path, default=None)
         sp.add_argument("--out", type=Path, default=Path("."))
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -197,16 +198,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "sweep-l":
-            return _run_sweep("l", cfg, out_dir)
-        if args.subcommand == "sweep-rmax":
-            return _run_sweep("r_max", cfg, out_dir)
-        if args.subcommand == "sweep-delta":
-            return _run_sweep("delta", cfg, out_dir)
+        if args.subcommand in SWEEP_SUBCOMMANDS:
+            return _run_sweep(args.subcommand, cfg, out_dir)
         if args.subcommand == "simulate":
             return _run_simulate(cfg, out_dir)
         if args.subcommand == "reliability":

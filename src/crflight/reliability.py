@@ -86,11 +86,6 @@ def failure_probability(r: ReliabilityParams) -> float:
     return 1.0 - (1.0 - r.p_hole_hit) * p_few_hits(r.d, r.lambda_per_s, r.tau_s)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Stream depends only on (seed, trial), so trials are schedule-independent.
-    return np.random.default_rng((seed, trial))
-
-
 def _frame_geometry_mm(d: int, l_mm: float):
     """Canonical frame and its two hole cells, in mm."""
     cell = d * l_mm / 4.0
@@ -104,8 +99,36 @@ def _frame_geometry_mm(d: int, l_mm: float):
     return width, height, cell, near, far
 
 
-def _in_cell(x: float, y: float, center, cell: float) -> bool:
-    return (abs(x - center[0]) < cell / 2.0) and (abs(y - center[1]) < cell / 2.0)
+def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
+                    n_trials: int, seed: int, predicate: str) -> np.ndarray:
+    """Boolean failure flag per trial.
+
+    Two Philox streams spawned from ``seed`` are read in order: one gives
+    each trial's epicenter (uniforms 2i and 2i + 1), the other its Poisson
+    strike count. The first n flags are therefore the same for any
+    ``n_trials``. A trial with d - 1 or more strikes fails whatever its
+    epicenter, so simulator mode runs the flee simulator only on the rest.
+    """
+    point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
+    u = np.random.Generator(np.random.Philox(point_seed)).random((n_trials, 2))
+    counts = np.random.Generator(np.random.Philox(count_seed)).poisson(
+        r.lambda_per_s * r.tau_s, n_trials)
+    failed = counts >= r.d - 1
+    if predicate == ANALYTIC_PREDICATE:
+        width, height, cell, near, far = _frame_geometry_mm(r.d, p.l_mm)
+        x, y = u[:, 0] * width, u[:, 1] * height
+        for cx, cy in (near, far):
+            failed |= (np.abs(x - cx) < cell / 2.0) & (np.abs(y - cy) < cell / 2.0)
+        return failed
+    for i in np.flatnonzero(~failed):
+        event = CreEvent(float(u[i, 0] * m.width_mm),
+                         float(u[i, 1] * m.height_mm), 0.0)
+        try:
+            plan = plan_flight(m, event, p)
+            failed[i] = not all(simulate(m, event, p, plan).survived.values())
+        except UnescapableError:
+            failed[i] = True
+    return failed
 
 
 def monte_carlo_failure(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
@@ -124,35 +147,7 @@ def monte_carlo_failure(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if predicate not in (ANALYTIC_PREDICATE, SIMULATOR_PREDICATE):
         raise ValueError(f"unknown predicate {predicate!r}")
-
-    mean = r.lambda_per_s * r.tau_s
-    failures = 0
-    if predicate == ANALYTIC_PREDICATE:
-        width, height, cell, near, far = _frame_geometry_mm(r.d, p.l_mm)
-        for i in range(n_trials):
-            rng = _trial_rng(seed, i)
-            x = rng.uniform(0.0, width)
-            y = rng.uniform(0.0, height)
-            in_hole = _in_cell(x, y, near, cell) or _in_cell(x, y, far, cell)
-            n_events = rng.poisson(mean)
-            if in_hole or n_events >= r.d - 1:
-                failures += 1
-    else:
-        for i in range(n_trials):
-            rng = _trial_rng(seed, i)
-            x = rng.uniform(0.0, m.width_mm)
-            y = rng.uniform(0.0, m.height_mm)
-            n_events = rng.poisson(mean)
-            event = CreEvent(x, y, 0.0)
-            try:
-                plan = plan_flight(m, event, p)
-                outcome = simulate(m, event, p, plan)
-                lost = not all(outcome.survived.values())
-            except UnescapableError:
-                lost = True
-            if lost or n_events >= r.d - 1:
-                failures += 1
-
-    estimate = failures / n_trials
+    failed = _trial_failures(m, p, r, n_trials, seed, predicate)
+    estimate = int(np.count_nonzero(failed)) / n_trials
     halfwidth = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n_trials)
     return estimate, halfwidth

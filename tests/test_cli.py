@@ -94,11 +94,16 @@ class TestSweepCommands:
         assert main(["sweep-rmax", "--config", str(cfg), "--out", str(out),
                      "--seed", "42"]) == EXIT_OK
         manifest = json.loads((out / "run-manifest.json").read_text())
-        assert manifest["subcommand"] == "sweep-r_max"
+        assert manifest["subcommand"] == "sweep-rmax"
         assert manifest["seed"] == 42
         assert manifest["config"]["sweep_values"] == [10.0]
         assert manifest["config"]["d_max"] == 500
         assert manifest["outputs"] == ["sweep_r_max.csv"]
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-l", "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestSimulateCommand:

@@ -1,15 +1,16 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping
 from crflight.model import PhysicalParams
-from crflight.reliability import (ReliabilityParams, failure_probability,
-                                  monte_carlo_failure, p_few_hits,
-                                  p_hole_hit_frame)
+from crflight.reliability import (ReliabilityParams, _trial_failures,
+                                  failure_probability, monte_carlo_failure,
+                                  p_few_hits, p_hole_hit_frame)
 
 
 def mpmath_poisson_cdf(k, mean):
@@ -130,14 +131,56 @@ class TestMonteCarlo:
         assert abs(est - failure_probability(r)) < 3.0 * (hw / 1.96)
 
     def test_prefix_stability(self):
-        # per-trial seeding: the first n trials are the same regardless of
-        # how many more are requested
+        # the first n trials are the same regardless of how many more are
+        # requested
         r = ReliabilityParams(1.0, 0.5, 3)
-        short, _ = monte_carlo_failure(self.m, self.p, r, 500, seed=3)
-        lng, _ = monte_carlo_failure(self.m, self.p, r, 1000, seed=3)
-        assert short * 500 == int(round(short * 500))
-        # failures among the first 500 trials are a prefix of the 1000-run
-        assert abs(lng * 1000 - short * 500) <= 500
+        for predicate in ("analytic", "simulator"):
+            short = _trial_failures(self.m, self.p, r, 500, 3, predicate)
+            lng = _trial_failures(self.m, self.p, r, 1000, 3, predicate)
+            assert short.dtype == bool and short.shape == (500,)
+            assert np.array_equal(lng[:500], short)
+
+    @given(st.integers(0, 2 ** 32), st.integers(2, 12),
+           st.floats(0.0, 15.0), st.floats(0.1, 3.0))
+    def test_analytic_mode_matches_trial_loop(self, seed, d, mean, l_mm):
+        # Oracle: draw the same two Philox streams and judge each trial in
+        # plain Python with the scalar hole-cell test.
+        n = 300
+        r = ReliabilityParams(1.0, mean, d)
+        p = PhysicalParams(l_mm, d, 2.5, 1.0, 1.0, 5.0)
+        point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
+        u = np.random.Generator(np.random.Philox(point_seed)).random((n, 2))
+        counts = np.random.Generator(np.random.Philox(count_seed)).poisson(mean, n)
+        cell = d * l_mm / 4.0
+        width, height = 10 * cell, 5 * cell
+        holes = [(width / 2.0 - d * l_mm / 2.0, height / 2.0),
+                 (width / 2.0 + d * l_mm / 2.0, height / 2.0)]
+        want = []
+        for i in range(n):
+            x, y = u[i, 0] * width, u[i, 1] * height
+            in_hole = any(abs(x - cx) < cell / 2.0 and abs(y - cy) < cell / 2.0
+                          for cx, cy in holes)
+            want.append(in_hole or int(counts[i]) >= d - 1)
+        got = _trial_failures(self.m, p, r, n, seed, "analytic")
+        assert got.tolist() == want
+
+    def test_simulator_mode_skips_trials_failed_by_count(self, monkeypatch):
+        # mean 60 with d = 4: every trial draws at least 3 strikes
+        r = ReliabilityParams(60.0, 1.0, self.p.d)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("plan_flight called for a failed trial")
+
+        monkeypatch.setattr("crflight.reliability.plan_flight", boom)
+        est, hw = monte_carlo_failure(self.m, self.p, r, 200, seed=4,
+                                      predicate="simulator")
+        assert est == 1.0 and hw == 0.0
+
+    def test_returns_python_floats(self):
+        # the CLI writes repr() of both values into reliability.csv
+        r = ReliabilityParams(1.0, 0.1, 2)
+        est, hw = monte_carlo_failure(self.m, self.p, r, 100, seed=1)
+        assert type(est) is float and type(hw) is float
 
     def test_simulator_mode_runs(self):
         r = ReliabilityParams(1.0, 0.1, self.p.d)
