@@ -1,12 +1,13 @@
 """Cosmic-ray strike modeling on a two-hole surface-code lattice:
 
-phonon-front geometry, flee feasibility solving, discrete-time flight
+phonon-front geometry, flee feasibility solving, continuous-time flight
 simulation, and failure-probability estimation.
 """
 
 from .model import (CreEvent, Hole, LatticePoint, LogicalQubit, PhononFront,
-                    PhysicalParams, compromised_count, hole_consumed,
-                    is_destroyed, phonon_radius, string_overwhelmed)
+                    PhysicalParams, hole_clearance_mm, hole_consumed,
+                    is_destroyed, phonon_radius, string_clearance_mm,
+                    string_overwhelmed)
 from .solver import (AT_HOLE, HALFWAY, FeasibilityVerdict, StrikeScenario,
                      SweepResult, SweepRow, check_condition1, check_condition2,
                      check_feasibility, min_code_distance, sweep)
@@ -15,7 +16,7 @@ from .simulate import (MovePlan, MoveStep, SimOutcome, UnescapableError,
                        detect, displacement_plan, is_safe_position,
                        plan_flight, simulate)
 from .reliability import (ReliabilityParams, failure_probability,
-                          monte_carlo_failure, p_few_hits, p_hole_hit_frame)
+                          monte_carlo_failure, p_few_hits)
 
 __version__ = "0.1.0"
 
@@ -25,10 +26,10 @@ __all__ = [
     "PhononFront", "PhysicalParams", "ReliabilityParams", "SimOutcome",
     "StrikeScenario", "SweepResult", "SweepRow", "UnescapableError",
     "build_mapping", "check_condition1", "check_condition2",
-    "check_feasibility", "compromised_count", "detect", "displacement_plan",
-    "failure_probability", "hole_consumed", "is_destroyed",
-    "is_safe_position", "min_code_distance",
-    "monte_carlo_failure", "p_few_hits", "p_hole_hit_frame", "phonon_radius",
-    "plan_flight", "simulate", "single_qubit_mapping", "string_overwhelmed",
-    "sweep",
+    "check_feasibility", "detect", "displacement_plan",
+    "failure_probability", "hole_clearance_mm", "hole_consumed",
+    "is_destroyed", "is_safe_position", "min_code_distance",
+    "monte_carlo_failure", "p_few_hits", "phonon_radius",
+    "plan_flight", "simulate", "single_qubit_mapping", "string_clearance_mm",
+    "string_overwhelmed", "sweep",
 ]

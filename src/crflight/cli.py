@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,22 +153,18 @@ def _run_replicate_paper(cfg, out_dir: Path) -> int:
     outputs = []
     base = _physical_params(cfg)
     for name in ("l", "r_max", "delta"):
-        values = _default_sweep_values(name, cfg) if name != "delta" else None
-        rows = []
         if name == "delta":
             values = [float(v) for v in range(1, 26)]
+        else:
+            values = _default_sweep_values(name, cfg)
+        rows = []
         for v in sorted(values):
             delta = float(rng.uniform(1.0, 25.0)) if name != "delta" else v
             dl = float(rng.uniform(1.0, 1e6))
-            p = PhysicalParams(
-                v if name == "l" else base.l_mm, base.d, base.v_p_mm_per_us,
-                delta, base.t_c_us,
-                v if name == "r_max" else base.r_max_mm, dl)
-            for kind in _scenarios(cfg):
-                s = solver.StrikeScenario(kind, cfg["x0_convention"])
-                rows.append(solver.SweepRow(v, kind,
-                                            solver.min_code_distance(p, s,
-                                                                     cfg["d_max"])))
+            p = replace(base, **{"delta_cycles": delta, "move_displacement_mm": dl,
+                                 solver.SWEEP_FIELDS[name]: v})
+            rows.extend(solver.point_rows(v, p, _scenarios(cfg),
+                                          cfg["x0_convention"], cfg["d_max"]))
         result = solver.SweepResult(name, solver.SWEEP_PARAMS[name], tuple(rows))
         out_path = out_dir / f"replicate_{name}.csv"
         with out_path.open("w", newline="") as fh:

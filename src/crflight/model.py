@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Sequence, Tuple
 
 # A hole's footprint is an axis-aligned square of side d/4 lattice units.
 HOLE_SIDE_FRACTION = 0.25
@@ -197,37 +197,43 @@ def phonon_radius(front: PhononFront, t: float) -> float:
     return min(front.params.mm_per_cycle * dt, front.params.r_max_mm)
 
 
-def compromised_count(front: PhononFront, q: LogicalQubit, t: float) -> int:
-    """Number of string data qubits strictly inside the front's disc at cycle t."""
-    r = phonon_radius(front, t)
-    if r <= 0:
-        return 0
-    ex, ey = front.event.epicenter_mm
-    l = front.params.l_mm
-    n = 0
-    for p in q.string_points():
-        px, py = p.physical(l)
-        if math.hypot(px - ex, py - ey) < r:
-            n += 1
-    return n
+def _min_event_distance(point_mm: Tuple[float, float],
+                        events: Sequence[CreEvent]) -> float:
+    px, py = point_mm
+    return min(math.hypot(px - e.x_mm, py - e.y_mm) for e in events)
+
+
+def string_clearance_mm(q: LogicalQubit, events: Sequence[CreEvent],
+                        l_mm: float) -> float:
+    """Largest epicenter clearance over the string. All d - 1 string
+
+    qubits lie strictly inside a disc exactly when its radius exceeds this.
+    """
+    return max(_min_event_distance(pt.physical(l_mm), events)
+               for pt in q.string_points())
+
+
+def hole_clearance_mm(q: LogicalQubit, events: Sequence[CreEvent],
+                      l_mm: float) -> float:
+    """Radius beyond which some hole footprint lies inside some disc."""
+    return min(hole.farthest_corner_distance_mm(e.epicenter_mm, l_mm)
+               for hole in q.holes for e in events)
 
 
 def string_overwhelmed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
-    """True iff at least d - 1 string qubits are inside the disc."""
-    return compromised_count(front, q, t) >= q.code_distance - 1
+    """True iff all d - 1 string qubits are strictly inside the disc."""
+    return phonon_radius(front, t) > string_clearance_mm(
+        q, (front.event,), front.params.l_mm)
 
 
 def hole_consumed(front: PhononFront, hole: Hole, t: float) -> bool:
     """True iff the hole's entire footprint lies strictly inside the disc."""
-    r = phonon_radius(front, t)
-    if r <= 0:
-        return False
-    return hole.farthest_corner_distance_mm(front.event.epicenter_mm,
-                                            front.params.l_mm) < r
+    return phonon_radius(front, t) > hole.farthest_corner_distance_mm(
+        front.event.epicenter_mm, front.params.l_mm)
 
 
 def is_destroyed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
     """Destruction predicate: the string is overwhelmed or a hole is swallowed."""
-    return (string_overwhelmed(front, q, t)
-            or hole_consumed(front, q.holes[0], t)
-            or hole_consumed(front, q.holes[1], t))
+    events, l_mm = (front.event,), front.params.l_mm
+    return phonon_radius(front, t) > min(string_clearance_mm(q, events, l_mm),
+                                         hole_clearance_mm(q, events, l_mm))

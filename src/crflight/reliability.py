@@ -49,20 +49,6 @@ class ReliabilityParams:
             raise ValueError(f"p_hole_hit must be in [0, 1], got {self.p_hole_hit}")
 
 
-def p_hole_hit_frame(d: int, width_cells: int = FRAME_WIDTH_CELLS,
-                     height_cells: int = FRAME_HEIGHT_CELLS) -> float:
-    """Probability a uniform strike lands inside one of the qubit's two
-
-    hole cells. 2/50 for the canonical 10x5-cell frame.
-    """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    cells = width_cells * height_cells
-    if cells < 2:
-        raise ValueError(f"frame must have at least 2 cells, got {cells}")
-    return 2.0 / cells
-
-
 def p_few_hits(d: int, lambda_per_s: float, tau_s: float) -> float:
     """P[N <= d - 2] for N ~ Poisson(lambda * tau).
 

@@ -1,4 +1,4 @@
-"""Discrete-time flee simulation: detection, move planning, execution.
+"""Continuous-time flee simulation: detection, move planning, execution.
 
 Movement semantics: a hole travels any lattice distance along an open
 channel in a fixed time of d cycles. A vertical move of a horizontal
@@ -8,7 +8,7 @@ other (two batches, 2d cycles total).
 
 During simulation a qubit is evaluated at the target of the last move
 batch that has started. Survival is judged by string consumption: a
-qubit is lost once every one of its d - 1 string data qubits lies
+qubit is lost the moment every one of its d - 1 string data qubits lies
 strictly inside a phonon disc. The stricter predicate that also counts
 a fully swallowed hole is available as ``predicate="strict"``.
 """
@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mapping import Mapping
 from .model import (HORIZONTAL, CreEvent, LogicalQubit, PhononFront,
-                    PhysicalParams, phonon_radius)
+                    PhysicalParams, _min_event_distance, hole_clearance_mm,
+                    phonon_radius, string_clearance_mm)
 
 STRING_PREDICATE = "string"
 STRICT_PREDICATE = "strict"
@@ -88,36 +89,10 @@ def _events_list(event) -> Tuple[CreEvent, ...]:
     return tuple(event)
 
 
-def _min_event_distance(point_mm: Tuple[float, float],
-                        events: Sequence[CreEvent]) -> float:
-    px, py = point_mm
-    return min(math.hypot(px - e.x_mm, py - e.y_mm) for e in events)
-
-
-def _string_escape_metric(q: LogicalQubit, events: Sequence[CreEvent],
-                          l_mm: float) -> float:
-    """Largest epicenter clearance over the string; the string can only be
-
-    fully consumed once the front radius exceeds this value.
-    """
-    return max(_min_event_distance(pt.physical(l_mm), events)
-               for pt in q.string_points())
-
-
-def _hole_swallow_metric(q: LogicalQubit, events: Sequence[CreEvent],
-                         l_mm: float) -> float:
-    """Radius at which some hole footprint is fully inside some disc."""
-    out = math.inf
-    for hole in q.holes:
-        for e in events:
-            out = min(out, hole.farthest_corner_distance_mm(e.epicenter_mm, l_mm))
-    return out
-
-
 def is_safe_position(q: LogicalQubit, events: Sequence[CreEvent],
                      p: PhysicalParams) -> bool:
     """True iff the string cannot be fully consumed even at radius r_max."""
-    return _string_escape_metric(q, events, p.l_mm) >= p.r_max_mm
+    return string_clearance_mm(q, events, p.l_mm) >= p.r_max_mm
 
 
 def _blocked_vertical(cx: int, y_from: int, y_to: int, obstacles, d: int) -> bool:
@@ -153,8 +128,13 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
     Qubits nearest an epicenter get first pick of targets. Each plan is
     a vertical batch into an adjacent channel, optionally followed by a
     horizontal run along it: at most three sequential batches. Raises
-    UnescapableError when a threatened qubit has no safe in-bounds target.
+    UnescapableError when a threatened qubit has no safe in-bounds target,
+    and ValueError for a vertical qubit, whose moves it cannot plan.
     """
+    for qid, q in enumerate(m.qubits):
+        if q.orientation != HORIZONTAL:
+            raise ValueError(f"qubit {qid} is {q.orientation}; plan_flight "
+                             f"plans moves for horizontal qubits only")
     events = _events_list(event)
     d = p.d
     t_move = detect(events[0], p) + 1.0
@@ -211,7 +191,7 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
             # stopover in the channel; fall back to the nearest safe target.
             if x2 != x:
                 mid = q.translated(0, y2 - y)
-                mid_thr = _string_escape_metric(mid, events, p.l_mm)
+                mid_thr = string_clearance_mm(mid, events, p.l_mm)
                 radius_at_leave = min(p.mm_per_cycle * (t_move + d), p.r_max_mm)
                 if mid_thr < radius_at_leave:
                     continue
@@ -281,14 +261,22 @@ def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
 
 def simulate(m: Mapping, event, p: PhysicalParams, plan: MovePlan,
              predicate: str = STRING_PREDICATE) -> SimOutcome:
-    """Advance cycle by cycle and record per-qubit survival."""
+    """Record per-qubit survival and the exact time of each destruction.
+
+    The front radius grows linearly until it dissipates, so a qubit whose
+    clearance over a position span [start, end) is thr is destroyed at
+    max(start, t0 + thr / mm_per_cycle), provided thr < r_max and that time
+    falls inside the span and no later than dissipation. Clearances are
+    against the union of discs at a common radius, which is exact for
+    concurrent strikes.
+    """
     if predicate not in (STRING_PREDICATE, STRICT_PREDICATE):
         raise ValueError(f"unknown predicate {predicate!r}")
     events = _events_list(event)
     if len({e.t0_cycles for e in events}) != 1:
         raise ValueError("multiple strikes must be concurrent (equal t0)")
     t0 = events[0].t0_cycles
-    fronts = [PhononFront(e, p) for e in events]
+    front = PhononFront(events[0], p)
     timeline: List[Tuple[float, str, Optional[int], str]] = []
     timeline.append((t0, "strike", None,
                      ";".join(f"({e.x_mm:g},{e.y_mm:g})" for e in events)))
@@ -301,40 +289,24 @@ def simulate(m: Mapping, event, p: PhysicalParams, plan: MovePlan,
         timeline.append((s.start_cycle + s.duration_cycles, "move_complete",
                          s.qubit_id, f"hole{s.hole_index}"))
 
-    # Pre-compute, per qubit and position interval, the radius threshold at
-    # which the destruction predicate fires; per-cycle checks are then O(1).
-    # Thresholds are against the union of discs evaluated at a common
-    # radius, which is exact for concurrent strikes.
-    thresholds = {}
-    for qid, q in enumerate(m.qubits):
-        spans = _positions_over_time(q, plan.steps_for(qid))
-        entries = []
-        for k, (start, moved) in enumerate(spans):
-            end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-            string_thr = _string_escape_metric(moved, events, p.l_mm)
-            hole_thr = (_hole_swallow_metric(moved, events, p.l_mm)
-                        if predicate == STRICT_PREDICATE else math.inf)
-            entries.append((start, end, min(string_thr, hole_thr)))
-        thresholds[qid] = entries
-
-    td = fronts[0].t_dissipate_cycles
+    td = front.t_dissipate_cycles
     destroyed_at: Dict[int, float] = {}
-    if math.isfinite(td) and td >= 0:
-        check_times = [float(c) for c in range(0, math.floor(td) + 1)]
-        if td != math.floor(td):
-            check_times.append(td)
-        for t in check_times:
-            radius = max(phonon_radius(f, t0 + t) for f in fronts)
-            for qid, entries in thresholds.items():
-                if qid in destroyed_at:
+    if math.isfinite(td):
+        for qid, q in enumerate(m.qubits):
+            spans = _positions_over_time(q, plan.steps_for(qid))
+            for k, (start, moved) in enumerate(spans):
+                end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
+                thr = string_clearance_mm(moved, events, p.l_mm)
+                if predicate == STRICT_PREDICATE:
+                    thr = min(thr, hole_clearance_mm(moved, events, p.l_mm))
+                if thr >= p.r_max_mm:
                     continue
-                for start, end, thr in entries:
-                    if start <= t0 + t < end:
-                        if radius > thr:
-                            destroyed_at[qid] = t0 + t
-                            timeline.append((t0 + t, "destroyed", qid,
-                                             f"radius={radius:g}mm"))
-                        break
+                t = max(start, t0 + thr / p.mm_per_cycle)
+                if t < end and t <= t0 + td:
+                    destroyed_at[qid] = t
+                    timeline.append((t, "destroyed", qid,
+                                     f"radius={phonon_radius(front, t):g}mm"))
+                    break
         timeline.append((t0 + td, "dissipated", None, f"r_max={p.r_max_mm:g}mm"))
 
     survived = {qid: qid not in destroyed_at for qid in range(len(m.qubits))}

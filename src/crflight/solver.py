@@ -18,7 +18,7 @@ alternative convention.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .model import PhysicalParams
@@ -31,6 +31,8 @@ HALF_D_MM = "half_d_mm"
 HALF_SEPARATION = "half_separation"
 
 SWEEP_PARAMS = {"l": "mm", "r_max": "mm", "delta": "cycles"}
+# PhysicalParams field each sweep parameter sets
+SWEEP_FIELDS = {"l": "l_mm", "r_max": "r_max_mm", "delta": "delta_cycles"}
 
 DEFAULT_D_MAX = 500
 
@@ -116,6 +118,15 @@ class SweepResult:
     rows: Tuple[SweepRow, ...] = field(default_factory=tuple)
 
 
+def point_rows(value: float, p: PhysicalParams, scenarios: Sequence[str],
+               x0_convention: str, d_max: int) -> List[SweepRow]:
+    """One sweep row per scenario for the parameter point ``p``."""
+    return [SweepRow(value, kind,
+                     min_code_distance(p, StrikeScenario(kind, x0_convention),
+                                       d_max))
+            for kind in scenarios]
+
+
 def sweep(parameter: str, values: Sequence[float], fixed: PhysicalParams,
           scenarios: Sequence[str] = SCENARIOS,
           x0_convention: str = HALF_D_MM,
@@ -130,20 +141,8 @@ def sweep(parameter: str, values: Sequence[float], fixed: PhysicalParams,
         raise ValueError("sweep values must be positive")
     rows: List[SweepRow] = []
     for v in sorted(values):
-        if parameter == "l":
-            p = PhysicalParams(v, fixed.d, fixed.v_p_mm_per_us, fixed.delta_cycles,
-                               fixed.t_c_us, fixed.r_max_mm, fixed.move_displacement_mm)
-        elif parameter == "r_max":
-            p = PhysicalParams(fixed.l_mm, fixed.d, fixed.v_p_mm_per_us,
-                               fixed.delta_cycles, fixed.t_c_us, v,
-                               fixed.move_displacement_mm)
-        else:
-            p = PhysicalParams(fixed.l_mm, fixed.d, fixed.v_p_mm_per_us, v,
-                               fixed.t_c_us, fixed.r_max_mm,
-                               fixed.move_displacement_mm)
-        for kind in scenarios:
-            s = StrikeScenario(kind, x0_convention)
-            rows.append(SweepRow(v, kind, min_code_distance(p, s, d_max)))
+        p = replace(fixed, **{SWEEP_FIELDS[parameter]: v})
+        rows.extend(point_rows(v, p, scenarios, x0_convention, d_max))
     return SweepResult(parameter, SWEEP_PARAMS[parameter], tuple(rows))
 
 

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crflight.model import (CreEvent, Hole, LatticePoint, LogicalQubit,
-                            PhononFront, PhysicalParams, compromised_count,
-                            hole_consumed, is_destroyed, phonon_radius,
-                            string_overwhelmed)
+                            PhononFront, PhysicalParams, hole_consumed,
+                            is_destroyed, phonon_radius, string_overwhelmed)
 
 
 def params(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
@@ -77,25 +76,28 @@ class TestPhononRadius:
 
 
 class TestCompromisedCount:
+    """string_overwhelmed (radius > string clearance) against the disc count."""
+
     def test_zero_radius(self):
         q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
         f = PhononFront(CreEvent(5.5, 0.0), params())
-        assert compromised_count(f, q, 0.0) == 0
+        assert brute_force_compromised(f, q, 0.0) == 0
+        assert not string_overwhelmed(f, q, 0.0)
 
     def test_full_coverage(self):
         q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
         f = PhononFront(CreEvent(5.5, 0.0), params())
         # radius 25 mm at t=10 engulfs the whole 10-qubit string
-        assert compromised_count(f, q, 10.0) == 10
+        assert brute_force_compromised(f, q, 10.0) == 10
+        assert string_overwhelmed(f, q, 10.0)
 
     def test_partial_coverage_matches_oracle(self):
         # epicenter at the string midpoint (5.5 mm), radius 2.6 mm after one
         # cycle; expected value frozen from the brute-force oracle
         q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
         f = PhononFront(CreEvent(5.5, 0.0), params(v_p=2.6))
-        expected = brute_force_compromised(f, q, 1.0)
-        assert expected == 6
-        assert compromised_count(f, q, 1.0) == expected
+        assert brute_force_compromised(f, q, 1.0) == 6
+        assert not string_overwhelmed(f, q, 1.0)
 
     @settings(max_examples=200)
     @given(st.integers(2, 30), st.floats(-20, 40), st.floats(-20, 20),
@@ -103,7 +105,8 @@ class TestCompromisedCount:
     def test_matches_oracle_everywhere(self, d, ex, ey, t, l):
         q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", d)
         f = PhononFront(CreEvent(ex, ey), params(l=l, d=d))
-        assert compromised_count(f, q, t) == brute_force_compromised(f, q, t)
+        assert string_overwhelmed(f, q, t) == (
+            brute_force_compromised(f, q, t) >= d - 1)
 
     @given(st.integers(2, 20), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_monotone_in_radius(self, d, t1, t2):
@@ -111,7 +114,7 @@ class TestCompromisedCount:
         f = PhononFront(CreEvent(d / 2, 0.3), params(d=d, r_max=1e9))
         if t1 > t2:
             t1, t2 = t2, t1
-        assert compromised_count(f, q, t1) <= compromised_count(f, q, t2)
+        assert string_overwhelmed(f, q, t1) <= string_overwhelmed(f, q, t2)
 
 
 class TestDestruction:
@@ -131,7 +134,7 @@ class TestDestruction:
         # string qubit, so destruction comes from the hole clause alone
         q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
         f = PhononFront(CreEvent(0.0, 0.0), params(v_p=2.0))
-        assert compromised_count(f, q, 1.0) < 10
+        assert brute_force_compromised(f, q, 1.0) < 10
         assert hole_consumed(f, q.holes[0], 1.0)
         assert is_destroyed(f, q, 1.0)
         assert not string_overwhelmed(f, q, 1.0)

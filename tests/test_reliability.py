@@ -10,7 +10,7 @@ from crflight.mapping import build_mapping
 from crflight.model import PhysicalParams
 from crflight.reliability import (ReliabilityParams, _trial_failures,
                                   failure_probability, monte_carlo_failure,
-                                  p_few_hits, p_hole_hit_frame)
+                                  p_few_hits)
 
 
 def mpmath_poisson_cdf(k, mean):
@@ -25,19 +25,8 @@ def mpmath_poisson_cdf(k, mean):
 
 class TestHoleHit:
     def test_canonical_frame(self):
-        assert p_hole_hit_frame(11) == 2.0 / 50.0
-
-    def test_two_cell_frame_is_certain(self):
-        assert p_hole_hit_frame(11, width_cells=2, height_cells=1) == 1.0
-
-    def test_wider_frame(self):
-        assert p_hole_hit_frame(11, width_cells=20, height_cells=5) == 0.02
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            p_hole_hit_frame(1)
-        with pytest.raises(ValueError):
-            p_hole_hit_frame(11, width_cells=1, height_cells=1)
+        # two hole cells in the 10 x 5-cell reference frame
+        assert ReliabilityParams(0.1, 1.0, 11).p_hole_hit == 2.0 / 50.0
 
 
 class TestPoissonTail:

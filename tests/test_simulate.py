@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping, single_qubit_mapping
-from crflight.model import CreEvent, LatticePoint, LogicalQubit, PhysicalParams
+from crflight.model import (CreEvent, LatticePoint, LogicalQubit, PhononFront,
+                            PhysicalParams, phonon_radius)
 from crflight.simulate import (MovePlan, UnescapableError, detect,
                                displacement_plan, is_safe_position,
                                plan_flight, simulate)
@@ -11,6 +14,15 @@ from crflight.simulate import (MovePlan, UnescapableError, detect,
 
 def params(l=1.0, d=4, v_p=2.5, delta=1.0, t_c=1.0, r_max=6.0, dl=1.0):
     return PhysicalParams(l, d, v_p, delta, t_c, r_max, dl)
+
+
+def brute_force_compromised(front, q, t):
+    """Independent oracle: point-in-disc test over every string position."""
+    r = phonon_radius(front, t)
+    ex, ey = front.event.epicenter_mm
+    l = front.params.l_mm
+    return sum(math.hypot(px - ex, py - ey) < r
+               for px, py in (pt.physical(l) for pt in q.string_points()))
 
 
 class TestDetect:
@@ -56,6 +68,15 @@ class TestPlanFlight:
         assert all(plan.batch_count(qid) <= 3 for qid in plan.qubit_ids())
         outcome = simulate(m, CreEvent(cx, cy), p, plan)
         assert all(outcome.survived.values())
+
+    def test_rejects_vertical_qubit(self):
+        # hole 1 of a vertical qubit is not at x + d; planning its escape
+        # as if it were would turn it horizontal
+        p = params(r_max=4.0)
+        q = LogicalQubit.place(LatticePoint(8, 8), "vertical", p.d)
+        m = single_qubit_mapping(q, p, 24, 24)
+        with pytest.raises(ValueError, match="qubit 0 is vertical"):
+            plan_flight(m, CreEvent(8.0, 10.0), p)
 
     def test_unescapable_when_storm_covers_frame(self):
         p = params(r_max=500.0)
@@ -157,6 +178,63 @@ class TestSimulate:
         strict = simulate(m, event, p, MovePlan(), predicate="strict")
         assert relaxed.survived[0] is True
         assert strict.survived[0] is False
+
+
+class TestContinuousTime:
+    def test_destroyed_between_integer_cycles(self):
+        # The string clearance from (2, 2) mm is sqrt(5) mm, so the front
+        # covers the string at t = sqrt(5) ~ 2.24, before the move starts at
+        # t = 2.5; sampling at integer cycles misses it (radius 2 at t = 2,
+        # and the qubit has moved away by t = 3).
+        p = params(d=4, v_p=1.0, delta=1.5, r_max=6.0)
+        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 4)
+        m = single_qubit_mapping(q, p, 40, 20)
+        event = CreEvent(2.0, 2.0)
+        plan = displacement_plan(0, q, 0, -4, detect(event, p) + 1, p.d)
+        outcome = simulate(m, event, p, plan)
+        assert outcome.survived[0] is False
+        assert outcome.destroyed_at[0] == pytest.approx(math.sqrt(5))
+
+    # r_max stays 0 or above 1e-6 mm, so that the front lives for more than
+    # the float resolution of t0 and the oracle can see it.
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 8), l=st.floats(0.5, 2.0),
+           v_p=st.floats(0.25, 3.0), delta=st.floats(0.0, 8.0),
+           r_max=st.just(0.0) | st.floats(1e-6, 20.0), t0=st.floats(0.0, 5.0),
+           ex=st.floats(-8.0, 16.0), ey=st.floats(-8.0, 8.0),
+           axis=st.sampled_from("xy"), shift=st.integers(-8, 8))
+    # moves into the front: lost the moment the move starts, at t = 1
+    @example(d=2, l=1.0, v_p=1.0, delta=0.0, r_max=3.0, t0=0.0, ex=-1.0,
+             ey=0.0, axis="x", shift=-2)
+    def test_matches_disc_count_oracle(self, d, l, v_p, delta, r_max, t0,
+                                       ex, ey, axis, shift):
+        p = params(l=l, d=d, v_p=v_p, delta=delta, r_max=r_max)
+        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", d)
+        m = single_qubit_mapping(q, p, 40, 40)
+        event = CreEvent(ex, ey, t0)
+        t_move = detect(event, p) + 1
+        dx, dy = (shift, 0) if axis == "x" else (0, shift)
+        plan = displacement_plan(0, q, dx, dy, t_move, d)
+        outcome = simulate(m, event, p, plan)
+        front = PhononFront(event, p)
+        t_end = t0 + front.t_dissipate_cycles
+
+        def at(t):
+            return q if t < t_move else q.translated(dx, dy)
+
+        def overwhelmed(t, pos):
+            return brute_force_compromised(front, pos, t) >= d - 1
+
+        grid = [t0 + k / 16 for k in range(int((t_end - t0) * 16) + 1)]
+        grid += [t for t in (t_move, t_end) if t0 <= t <= t_end]
+        if outcome.survived[0]:
+            assert not any(overwhelmed(t, at(t)) for t in grid)
+        else:
+            t_lost = outcome.destroyed_at[0]
+            assert t0 <= t_lost <= t_end
+            t_check = min(t_lost + 1e-9, t_end)
+            assert overwhelmed(t_check, at(t_lost))
+            assert not any(overwhelmed(t, at(t)) for t in grid if t < t_lost)
 
 
 class TestSafety:
