@@ -130,10 +130,10 @@ class LogicalQubit:
             )
 
     @classmethod
-    def place(cls, near: LatticePoint, orientation: str, d: int,
-              half_width: float | None = None) -> "LogicalQubit":
+    def place(cls, near: LatticePoint, orientation: str,
+              d: int) -> "LogicalQubit":
         """Place a qubit with its first hole at ``near``."""
-        hw = Hole.default_half_width(d) if half_width is None else half_width
+        hw = Hole.default_half_width(d)
         if orientation == HORIZONTAL:
             far = near.translated(d, 0)
         else:

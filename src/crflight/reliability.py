@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .mapping import Mapping
-from .model import CreEvent, PhysicalParams
+from .model import HOLE_SIDE_FRACTION, CreEvent, PhysicalParams
 from .simulate import UnescapableError, plan_flight, simulate
 
 # Reference frame for the hole-hit probability: a region 10 cells wide by
@@ -74,7 +74,7 @@ def failure_probability(r: ReliabilityParams) -> float:
 
 def _frame_geometry_mm(d: int, l_mm: float):
     """Canonical frame and its two hole cells, in mm."""
-    cell = d * l_mm / 4.0
+    cell = d * l_mm * HOLE_SIDE_FRACTION
     width = FRAME_WIDTH_CELLS * cell
     height = FRAME_HEIGHT_CELLS * cell
     # One horizontal qubit centered in the frame, holes d apart.

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mapping import Mapping
-from .model import (HORIZONTAL, CreEvent, LogicalQubit, PhononFront,
-                    PhysicalParams, _min_event_distance, hole_clearance_mm,
-                    phonon_radius, string_clearance_mm)
+from .model import (HOLE_SIDE_FRACTION, HORIZONTAL, CreEvent, LogicalQubit,
+                    PhononFront, PhysicalParams, _min_event_distance,
+                    hole_clearance_mm, phonon_radius, string_clearance_mm)
 
 STRING_PREDICATE = "string"
 STRICT_PREDICATE = "strict"
@@ -95,30 +95,16 @@ def is_safe_position(q: LogicalQubit, events: Sequence[CreEvent],
     return string_clearance_mm(q, events, p.l_mm) >= p.r_max_mm
 
 
-def _blocked_vertical(cx: int, y_from: int, y_to: int, obstacles, d: int) -> bool:
-    lo, hi = min(y_from, y_to), max(y_from, y_to)
-    s = d / 4.0
-    for (hx, hy) in obstacles:
-        if abs(hx - cx) < s and lo - s < hy < hi + s:
+def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int], obstacles,
+                 d: int) -> bool:
+    """True iff a hole footprint swept along the axis-aligned leg a -> b
+    overlaps the footprint of any obstacle hole center."""
+    s = d * HOLE_SIDE_FRACTION
+    x_lo, x_hi = min(a[0], b[0]) - s, max(a[0], b[0]) + s
+    y_lo, y_hi = min(a[1], b[1]) - s, max(a[1], b[1]) + s
+    for hx, hy in obstacles:
+        if x_lo < hx < x_hi and y_lo < hy < y_hi:
             return True
-    return False
-
-
-def _blocked_horizontal(cy: int, x_from: int, x_to: int, obstacles, d: int) -> bool:
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    s = d / 4.0
-    for (hx, hy) in obstacles:
-        if abs(hy - cy) < s and lo - s < hx < hi + s:
-            return True
-    return False
-
-
-def _collides(holes_a, holes_b, d: int) -> bool:
-    s = d / 4.0
-    for (ax, ay) in holes_a:
-        for (bx, by) in holes_b:
-            if abs(ax - bx) < s and abs(ay - by) < s:
-                return True
     return False
 
 
@@ -127,9 +113,14 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
 
     Qubits nearest an epicenter get first pick of targets. Each plan is
     a vertical batch into an adjacent channel, optionally followed by a
-    horizontal run along it: at most three sequential batches. Raises
-    UnescapableError when a threatened qubit has no safe in-bounds target,
-    and ValueError for a vertical qubit, whose moves it cannot plan.
+    horizontal run along it: at most three sequential batches. The route
+    taken is the nearest safe one whose legs no other hole blocks and whose
+    channel stopover the front does not overrun during the d cycles the
+    qubit waits there, judged by the simulator's own closed form
+    (``_span_crossing``); if every safe route's stopover is overrun, the
+    nearest safe route is the fallback. Raises UnescapableError when a
+    threatened qubit has no safe in-bounds target, and ValueError for a
+    vertical qubit, whose moves it cannot plan.
     """
     for qid, q in enumerate(m.qubits):
         if q.orientation != HORIZONTAL:
@@ -137,6 +128,7 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
                              f"plans moves for horizontal qubits only")
     events = _events_list(event)
     d = p.d
+    front = PhononFront(events[0], p)
     t_move = detect(events[0], p) + 1.0
 
     threatened = [(qid, q) for qid, q in enumerate(m.qubits)
@@ -155,48 +147,34 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
     steps: List[MoveStep] = []
     for qid, q in threatened:
         x, y = q.holes[0].center.x, q.holes[0].center.y
-        candidates = []
-        for y2 in (y - d, y + d):
-            if not (0 <= y2 <= m.height_units):
-                continue
-            for x2 in range(0, m.width_units - d + 1):
-                dist = math.hypot(x2 - x, y2 - y)
-                candidates.append((dist, y2, x2))
-        candidates.sort()
-
+        channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units]
+        candidates = sorted((math.hypot(x2 - x, y2 - y), y2, x2)
+                            for y2 in channels
+                            for x2 in range(0, m.width_units - d + 1))
+        # Whether the front overruns the stopover at (x, y2) during the d
+        # cycles before the horizontal run leaves it.
+        overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
+                                      t_move + d, events, front,
+                                      STRING_PREDICATE) is not None
+                   for y2 in channels}
         obstacles = [h for other, hs in occupancy.items() if other != qid
                      for h in hs]
         chosen = None
         fallback = None
         for _, y2, x2 in candidates:
-            moved = q.translated(x2 - x, y2 - y)
-            if not is_safe_position(moved, events, p):
+            if not is_safe_position(q.translated(x2 - x, y2 - y), events, p):
                 continue
-            target_holes = ((x2, y2), (x2 + d, y2))
-            if _collides(target_holes, obstacles, d):
+            if any(_leg_blocked(a, b, obstacles, d) for a, b in (
+                    ((x, y), (x, y2)), ((x + d, y), (x + d, y2)),
+                    ((x, y2), (x2, y2)), ((x + d, y2), (x2 + d, y2)))):
                 continue
-            mid_holes = ((x, y2), (x + d, y2))
-            if (_blocked_vertical(x, y, y2, obstacles, d)
-                    or _blocked_vertical(x + d, y, y2, obstacles, d)):
-                continue
-            if x2 != x:
-                if _collides(mid_holes, obstacles, d):
-                    continue
-                if (_blocked_horizontal(y2, x, x2, obstacles, d)
-                        or _blocked_horizontal(y2, x + d, x2 + d, obstacles, d)):
-                    continue
             if fallback is None:
                 fallback = (x2, y2)
             # Prefer targets the qubit reaches before the front overruns its
             # stopover in the channel; fall back to the nearest safe target.
-            if x2 != x:
-                mid = q.translated(0, y2 - y)
-                mid_thr = string_clearance_mm(mid, events, p.l_mm)
-                radius_at_leave = min(p.mm_per_cycle * (t_move + d), p.r_max_mm)
-                if mid_thr < radius_at_leave:
-                    continue
-            chosen = (x2, y2)
-            break
+            if not overrun[y2]:
+                chosen = (x2, y2)
+                break
         if chosen is None:
             chosen = fallback
         if chosen is None:
@@ -259,16 +237,36 @@ def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
     return out
 
 
+def _span_crossing(q: LogicalQubit, start: float, end: float,
+                   events: Sequence[CreEvent], front: PhononFront,
+                   predicate: str) -> Optional[float]:
+    """First time the front overwhelms q held still over [start, end), or None.
+
+    The radius grows linearly until it dissipates, so with the qubit's
+    clearance thr the crossing is max(start, t0 + thr / mm_per_cycle),
+    provided thr < r_max and that time falls inside the span and no later
+    than dissipation. A front that does not move crosses nothing.
+    """
+    p = front.params
+    if p.mm_per_cycle == 0:
+        return None
+    thr = string_clearance_mm(q, events, p.l_mm)
+    if predicate == STRICT_PREDICATE:
+        thr = min(thr, hole_clearance_mm(q, events, p.l_mm))
+    if thr >= p.r_max_mm:
+        return None
+    t0 = front.event.t0_cycles
+    t = max(start, t0 + thr / p.mm_per_cycle)
+    return t if t < end and t <= t0 + front.t_dissipate_cycles else None
+
+
 def simulate(m: Mapping, event, p: PhysicalParams, plan: MovePlan,
              predicate: str = STRING_PREDICATE) -> SimOutcome:
     """Record per-qubit survival and the exact time of each destruction.
 
-    The front radius grows linearly until it dissipates, so a qubit whose
-    clearance over a position span [start, end) is thr is destroyed at
-    max(start, t0 + thr / mm_per_cycle), provided thr < r_max and that time
-    falls inside the span and no later than dissipation. Clearances are
-    against the union of discs at a common radius, which is exact for
-    concurrent strikes.
+    Each position span [start, end) a qubit holds is judged in closed form
+    by ``_span_crossing``. Clearances are against the union of discs at a
+    common radius, which is exact for concurrent strikes.
     """
     if predicate not in (STRING_PREDICATE, STRICT_PREDICATE):
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -289,24 +287,19 @@ def simulate(m: Mapping, event, p: PhysicalParams, plan: MovePlan,
         timeline.append((s.start_cycle + s.duration_cycles, "move_complete",
                          s.qubit_id, f"hole{s.hole_index}"))
 
-    td = front.t_dissipate_cycles
     destroyed_at: Dict[int, float] = {}
+    for qid, q in enumerate(m.qubits):
+        spans = _positions_over_time(q, plan.steps_for(qid))
+        for k, (start, moved) in enumerate(spans):
+            end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
+            t = _span_crossing(moved, start, end, events, front, predicate)
+            if t is not None:
+                destroyed_at[qid] = t
+                timeline.append((t, "destroyed", qid,
+                                 f"radius={phonon_radius(front, t):g}mm"))
+                break
+    td = front.t_dissipate_cycles
     if math.isfinite(td):
-        for qid, q in enumerate(m.qubits):
-            spans = _positions_over_time(q, plan.steps_for(qid))
-            for k, (start, moved) in enumerate(spans):
-                end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-                thr = string_clearance_mm(moved, events, p.l_mm)
-                if predicate == STRICT_PREDICATE:
-                    thr = min(thr, hole_clearance_mm(moved, events, p.l_mm))
-                if thr >= p.r_max_mm:
-                    continue
-                t = max(start, t0 + thr / p.mm_per_cycle)
-                if t < end and t <= t0 + td:
-                    destroyed_at[qid] = t
-                    timeline.append((t, "destroyed", qid,
-                                     f"radius={phonon_radius(front, t):g}mm"))
-                    break
         timeline.append((t0 + td, "dissipated", None, f"r_max={p.r_max_mm:g}mm"))
 
     survived = {qid: qid not in destroyed_at for qid in range(len(m.qubits))}

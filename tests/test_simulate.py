@@ -84,6 +84,79 @@ class TestPlanFlight:
         with pytest.raises(UnescapableError):
             plan_flight(m, CreEvent(m.width_mm / 2, m.height_mm / 2), p)
 
+    def test_plan_independent_of_strike_time(self):
+        # The front overruns the lower stopover (4, 0) before the horizontal
+        # run leaves it, but not the upper one (4, 8). Judging the stopover
+        # by the radius since t = 0 rather than since t0 sent qubit 0 down at
+        # t0 = 50, where it was destroyed at t ~ 56.81.
+        p = PhysicalParams(1.0, 4, 0.8, 2.0, 1.0, 7.0)
+        m = build_mapping(2, 1, p)
+        plans = {}
+        for t0 in (0.0, 50.0):
+            event = CreEvent(3.0, 3.7, t0)
+            plans[t0] = plan_flight(m, event, p)
+            outcome = simulate(m, event, p, plans[t0])
+            assert all(outcome.survived.values()), t0
+        assert ([s.target for s in plans[0.0].steps]
+                == [s.target for s in plans[50.0].steps])
+        assert plans[0.0].steps_for(0)[-1].target == (6, 8)
+
+
+def eighths(lo, hi):
+    """Multiples of 1/8 in [lo, hi]: exact in binary, so shifting a strike
+    by an integer t0 cannot flip a time comparison by rounding."""
+    return st.integers(int(lo * 8), int(hi * 8)).map(lambda k: k / 8)
+
+
+def final_hole_centers(m, plan):
+    centers = {(qid, k): (h.center.x, h.center.y)
+               for qid, q in enumerate(m.qubits) for k, h in enumerate(q.holes)}
+    for s in sorted(plan.steps, key=lambda s: s.start_cycle):
+        centers[(s.qubit_id, s.hole_index)] = s.target
+    return list(centers.values())
+
+
+class TestPlanFlightProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 3), cols=st.integers(1, 3), d=st.integers(4, 6),
+           v_p=eighths(0.0, 3.0), delta=eighths(0.0, 4.0),
+           r_max=eighths(0.0, 16.0), fx=st.floats(-0.1, 1.1),
+           fy=st.floats(-0.1, 1.1), t0=st.integers(1, 1000))
+    def test_plan_properties(self, rows, cols, d, v_p, delta, r_max, fx, fy,
+                             t0):
+        p = params(d=d, v_p=v_p, delta=delta, r_max=r_max)
+        m = build_mapping(rows, cols, p)
+        ex = round(fx * m.width_mm * 8) / 8
+        ey = round(fy * m.height_mm * 8) / 8
+        event = CreEvent(ex, ey)
+        try:
+            plan = plan_flight(m, event, p)
+        except UnescapableError as exc:
+            assert not is_safe_position(m.qubits[exc.qubit_id], [event], p)
+            return
+        assert plan_flight(m, event, p) == plan
+        assert all(plan.batch_count(qid) <= 3 for qid in plan.qubit_ids())
+
+        centers = final_hole_centers(m, plan)
+        for i, (ax, ay) in enumerate(centers):
+            for bx, by in centers[i + 1:]:
+                assert abs(ax - bx) >= d / 4 or abs(ay - by) >= d / 4
+
+        def shape(pl):
+            return [(s.qubit_id, s.hole_index, s.axis, s.target,
+                     s.duration_cycles) for s in pl.steps]
+
+        later = CreEvent(ex, ey, float(t0))
+        assert shape(plan_flight(m, later, p)) == shape(plan)
+
+        # The fallback and a front that covers the string before the move
+        # starts can still lose a planned qubit, but never after it leaves
+        # its channel stopover for a safe target.
+        t_move = detect(event, p) + 1
+        outcome = simulate(m, event, p, plan)
+        for qid in plan.qubit_ids():
+            assert outcome.destroyed_at.get(qid, -math.inf) < t_move + d
+
 
 class TestSimulate:
     def test_zero_speed_all_survive(self):
