@@ -44,10 +44,6 @@ log = logging.getLogger("crflight")
 SWEEP_SUBCOMMANDS = {"sweep-l": "l", "sweep-rmax": "r_max", "sweep-delta": "delta"}
 
 
-class RangeError(Exception):
-    pass
-
-
 def _physical_params(cfg) -> PhysicalParams:
     return PhysicalParams(cfg["l_mm"], cfg["d"], cfg["v_p_mm_per_us"],
                           cfg["delta_cycles"], cfg["t_c_us"], cfg["r_max_mm"],
@@ -55,12 +51,7 @@ def _physical_params(cfg) -> PhysicalParams:
 
 
 def _scenarios(cfg):
-    name = cfg["scenario"]
-    if name == "both":
-        return solver.SCENARIOS
-    if name in solver.SCENARIOS:
-        return (name,)
-    raise ConfigError(f"unknown scenario {name!r}")
+    return solver.SCENARIOS if cfg["scenario"] == "both" else (cfg["scenario"],)
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg, outputs) -> None:
@@ -86,11 +77,8 @@ def _default_sweep_values(name, cfg):
 
 def _run_sweep(subcommand: str, cfg, out_dir: Path) -> int:
     name = SWEEP_SUBCOMMANDS[subcommand]
-    values = _default_sweep_values(name, cfg)
-    if not values or any(v <= 0 for v in values):
-        raise RangeError(f"sweep values for {name} must be positive and non-empty")
-    result = solver.sweep(name, values, _physical_params(cfg),
-                          scenarios=_scenarios(cfg),
+    result = solver.sweep(name, _default_sweep_values(name, cfg),
+                          _physical_params(cfg), scenarios=_scenarios(cfg),
                           x0_convention=cfg["x0_convention"],
                           d_max=cfg["d_max"])
     out_path = out_dir / f"sweep_{name}.csv"
@@ -123,22 +111,23 @@ def _run_simulate(cfg, out_dir: Path) -> int:
 
 
 def _run_reliability(cfg, out_dir: Path) -> int:
-    if cfg["tau_points"] < 1 or cfg["tau_s_min"] <= 0 or \
-            cfg["tau_s_max"] < cfg["tau_s_min"]:
-        raise RangeError("tau grid requires 0 < tau_s_min <= tau_s_max, points >= 1")
+    tau_min, tau_max = cfg["tau_s_min"], cfg["tau_s_max"]
+    if cfg["tau_points"] < 1 or not tau_min > 0 or not tau_max >= tau_min:
+        raise ValueError("tau grid requires 0 < tau_s_min <= tau_s_max, points >= 1")
     p = _physical_params(cfg)
     m = build_mapping(cfg["rows"], cfg["cols"], p)
-    taus = np.logspace(math.log10(cfg["tau_s_min"]), math.log10(cfg["tau_s_max"]),
-                       cfg["tau_points"])
+    taus = np.logspace(math.log10(tau_min), math.log10(tau_max), cfg["tau_points"])
+    rows = []
+    for tau in taus:
+        r = ReliabilityParams(cfg["lambda_per_s"], float(tau), cfg["d"])
+        est, hw = monte_carlo_failure(m, p, r, cfg["n_trials"], cfg["seed"])
+        rows.append([repr(float(tau)), repr(failure_probability(r)), repr(est),
+                     repr(hw)])
     out_path = out_dir / "reliability.csv"
     with out_path.open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["tau", "analytic_failure", "mc_failure", "mc_halfwidth"])
-        for tau in taus:
-            r = ReliabilityParams(cfg["lambda_per_s"], float(tau), cfg["d"])
-            analytic = failure_probability(r)
-            est, hw = monte_carlo_failure(m, p, r, cfg["n_trials"], cfg["seed"])
-            w.writerow([repr(float(tau)), repr(analytic), repr(est), repr(hw)])
+        w.writerows(rows)
     _write_manifest(out_dir, "reliability", cfg, [out_path.name])
     log.info("wrote %s (%d tau points)", out_path, len(taus))
     return EXIT_OK
@@ -150,7 +139,7 @@ def _run_replicate_paper(cfg, out_dir: Path) -> int:
     [1, 25] cycles and random move displacement in [1, 1e6] mm.
     """
     rng = np.random.default_rng(cfg["seed"])
-    outputs = []
+    results = {}  # artifact name -> sweep
     base = _physical_params(cfg)
     for name in ("l", "r_max", "delta"):
         if name == "delta":
@@ -165,12 +154,13 @@ def _run_replicate_paper(cfg, out_dir: Path) -> int:
                                  solver.SWEEP_FIELDS[name]: v})
             rows.extend(solver.point_rows(v, p, _scenarios(cfg),
                                           cfg["x0_convention"], cfg["d_max"]))
-        result = solver.SweepResult(name, solver.SWEEP_PARAMS[name], tuple(rows))
-        out_path = out_dir / f"replicate_{name}.csv"
-        with out_path.open("w", newline="") as fh:
+        results[f"replicate_{name}.csv"] = solver.SweepResult(
+            name, solver.SWEEP_PARAMS[name], tuple(rows))
+    # Written only once every sweep is solved: an error leaves no artifact.
+    for out_name, result in results.items():
+        with (out_dir / out_name).open("w", newline="") as fh:
             solver.write_sweep_csv(result, fh)
-        outputs.append(out_path.name)
-    _write_manifest(out_dir, "replicate-paper", cfg, outputs)
+    _write_manifest(out_dir, "replicate-paper", cfg, list(results))
     return EXIT_OK
 
 
@@ -207,9 +197,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"crflight: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RangeError as exc:
-        print(f"crflight: range error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
     except UnescapableError as exc:
         print(f"crflight: {exc}", file=sys.stderr)
         return EXIT_UNESCAPABLE

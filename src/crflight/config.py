@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .solver import HALF_D_MM, HALF_SEPARATION, SCENARIOS
+
 
 class ConfigError(Exception):
     pass
@@ -46,6 +48,12 @@ KNOWN_KEYS = {
     "seed": (int, 0),
 }
 
+# key -> its allowed values, for keys that name a choice
+CHOICES = {
+    "x0_convention": (HALF_D_MM, HALF_SEPARATION),
+    "scenario": (*SCENARIOS, "both"),
+}
+
 
 def default_config() -> Dict[str, object]:
     return {k: default for k, (_, default) in KNOWN_KEYS.items()}
@@ -74,6 +82,9 @@ def parse_config(path: Optional[Path]) -> Dict[str, object]:
             cfg[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if key in CHOICES and cfg[key] not in CHOICES[key]:
+            raise ConfigError(f"{path}:{lineno}: {key} must be one of "
+                              f"{', '.join(CHOICES[key])}, got {value!r}")
     return cfg
 
 
@@ -85,7 +96,7 @@ def sweep_values_from(cfg: Dict[str, object]) -> Optional[List[float]]:
         return None
     start, stop = float(cfg["sweep_start"]), float(cfg["sweep_stop"])
     step = float(cfg["sweep_step"])
-    if step <= 0:
+    if not step > 0:
         raise ConfigError(f"sweep_step must be > 0, got {step}")
     out = []
     v = start

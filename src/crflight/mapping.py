@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Tuple
 
-from .model import HORIZONTAL, LatticePoint, LogicalQubit, PhysicalParams
+from .model import LatticePoint, LogicalQubit, PhysicalParams
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Mapping:
             "qubits": [
                 {
                     "id": i,
-                    "orientation": q.orientation,
+                    "orientation": "horizontal",
                     "holes": [[h.center.x, h.center.y] for h in q.holes],
                     "hole_half_width": q.holes[0].half_width,
                 }
@@ -76,7 +76,7 @@ def build_mapping(rows: int, cols: int, p: PhysicalParams) -> Mapping:
         y = d + pitch * i
         for j in range(cols):
             x = d + pitch * j
-            qubits.append(LogicalQubit.place(LatticePoint(x, y), HORIZONTAL, d))
+            qubits.append(LogicalQubit.place(LatticePoint(x, y), d))
     width = pitch * cols + d
     height = pitch * rows
     channel_ys = tuple(pitch * i for i in range(rows + 1))

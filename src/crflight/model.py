@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 # A hole's footprint is an axis-aligned square of side d/4 lattice units.
 HOLE_SIDE_FRACTION = 0.25
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
 
 
 @dataclass(frozen=True)
@@ -32,19 +29,20 @@ class PhysicalParams:
     move_displacement_mm: float = 1.0  # distance a fleeing qubit travels
 
     def __post_init__(self) -> None:
-        if self.l_mm <= 0:
+        # Written as "not x > 0" so that NaN fails too.
+        if not self.l_mm > 0:
             raise ValueError(f"l_mm must be > 0, got {self.l_mm}")
         if not isinstance(self.d, int) or self.d < 2:
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
-        if self.v_p_mm_per_us < 0:
+        if not self.v_p_mm_per_us >= 0:
             raise ValueError(f"v_p_mm_per_us must be >= 0, got {self.v_p_mm_per_us}")
-        if self.delta_cycles < 0:
+        if not self.delta_cycles >= 0:
             raise ValueError(f"delta_cycles must be >= 0, got {self.delta_cycles}")
-        if self.t_c_us <= 0:
+        if not self.t_c_us > 0:
             raise ValueError(f"t_c_us must be > 0, got {self.t_c_us}")
-        if self.r_max_mm < 0:
+        if not self.r_max_mm >= 0:
             raise ValueError(f"r_max_mm must be >= 0, got {self.r_max_mm}")
-        if self.move_displacement_mm < 0:
+        if not self.move_displacement_mm >= 0:
             raise ValueError(
                 f"move_displacement_mm must be >= 0, got {self.move_displacement_mm}"
             )
@@ -104,49 +102,35 @@ class Hole:
 
 @dataclass(frozen=True)
 class LogicalQubit:
-    """An ordered pair of holes d lattice units apart, plus the operator
+    """An ordered pair of holes d lattice units apart along x, plus the
 
-    string of d - 1 data qubits running between them.
+    operator string of d - 1 data qubits running between them. Qubits lie
+    in rows, so every one is horizontal.
     """
 
     holes: Tuple[Hole, Hole]
-    orientation: str
     code_distance: int
 
     def __post_init__(self) -> None:
-        if self.orientation not in (HORIZONTAL, VERTICAL):
-            raise ValueError(f"bad orientation {self.orientation!r}")
         if self.code_distance < 2:
             raise ValueError(f"code_distance must be >= 2, got {self.code_distance}")
         a, b = self.holes[0].center, self.holes[1].center
-        if self.orientation == HORIZONTAL:
-            ok = (b.x - a.x == self.code_distance) and (a.y == b.y)
-        else:
-            ok = (b.y - a.y == self.code_distance) and (a.x == b.x)
-        if not ok:
+        if b.x - a.x != self.code_distance or a.y != b.y:
             raise ValueError(
                 f"hole centers {a} -> {b} are not {self.code_distance} lattice "
-                f"units apart along the {self.orientation} axis"
+                "units apart along the x axis"
             )
 
     @classmethod
-    def place(cls, near: LatticePoint, orientation: str,
-              d: int) -> "LogicalQubit":
+    def place(cls, near: LatticePoint, d: int) -> "LogicalQubit":
         """Place a qubit with its first hole at ``near``."""
         hw = Hole.default_half_width(d)
-        if orientation == HORIZONTAL:
-            far = near.translated(d, 0)
-        else:
-            far = near.translated(0, d)
-        return cls((Hole(near, hw), Hole(far, hw)), orientation, d)
+        return cls((Hole(near, hw), Hole(near.translated(d, 0), hw)), d)
 
     def string_points(self) -> Tuple[LatticePoint, ...]:
         """The d - 1 data qubits of the inter-hole operator string."""
         a = self.holes[0].center
-        if self.orientation == HORIZONTAL:
-            return tuple(LatticePoint(a.x + k, a.y)
-                         for k in range(1, self.code_distance))
-        return tuple(LatticePoint(a.x, a.y + k)
+        return tuple(LatticePoint(a.x + k, a.y)
                      for k in range(1, self.code_distance))
 
     def all_points(self) -> Tuple[LatticePoint, ...]:
@@ -155,7 +139,7 @@ class LogicalQubit:
     def translated(self, dx: int, dy: int) -> "LogicalQubit":
         return LogicalQubit(
             (self.holes[0].translated(dx, dy), self.holes[1].translated(dx, dy)),
-            self.orientation, self.code_distance)
+            self.code_distance)
 
 
 @dataclass(frozen=True)
@@ -169,6 +153,9 @@ class CreEvent:
     @property
     def epicenter_mm(self) -> Tuple[float, float]:
         return (self.x_mm, self.y_mm)
+
+    def distance_mm(self, point_mm: Tuple[float, float]) -> float:
+        return math.hypot(point_mm[0] - self.x_mm, point_mm[1] - self.y_mm)
 
 
 @dataclass(frozen=True)
@@ -197,33 +184,26 @@ def phonon_radius(front: PhononFront, t: float) -> float:
     return min(front.params.mm_per_cycle * dt, front.params.r_max_mm)
 
 
-def _min_event_distance(point_mm: Tuple[float, float],
-                        events: Sequence[CreEvent]) -> float:
-    px, py = point_mm
-    return min(math.hypot(px - e.x_mm, py - e.y_mm) for e in events)
-
-
-def string_clearance_mm(q: LogicalQubit, events: Sequence[CreEvent],
+def string_clearance_mm(q: LogicalQubit, event: CreEvent,
                         l_mm: float) -> float:
     """Largest epicenter clearance over the string. All d - 1 string
 
-    qubits lie strictly inside a disc exactly when its radius exceeds this.
+    qubits lie strictly inside the strike's disc exactly when its radius
+    exceeds this.
     """
-    return max(_min_event_distance(pt.physical(l_mm), events)
-               for pt in q.string_points())
+    return max(event.distance_mm(pt.physical(l_mm)) for pt in q.string_points())
 
 
-def hole_clearance_mm(q: LogicalQubit, events: Sequence[CreEvent],
-                      l_mm: float) -> float:
-    """Radius beyond which some hole footprint lies inside some disc."""
-    return min(hole.farthest_corner_distance_mm(e.epicenter_mm, l_mm)
-               for hole in q.holes for e in events)
+def hole_clearance_mm(q: LogicalQubit, event: CreEvent, l_mm: float) -> float:
+    """Radius beyond which a hole footprint lies inside the strike's disc."""
+    return min(hole.farthest_corner_distance_mm(event.epicenter_mm, l_mm)
+               for hole in q.holes)
 
 
 def string_overwhelmed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
     """True iff all d - 1 string qubits are strictly inside the disc."""
     return phonon_radius(front, t) > string_clearance_mm(
-        q, (front.event,), front.params.l_mm)
+        q, front.event, front.params.l_mm)
 
 
 def hole_consumed(front: PhononFront, hole: Hole, t: float) -> bool:
@@ -234,6 +214,6 @@ def hole_consumed(front: PhononFront, hole: Hole, t: float) -> bool:
 
 def is_destroyed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
     """Destruction predicate: the string is overwhelmed or a hole is swallowed."""
-    events, l_mm = (front.event,), front.params.l_mm
-    return phonon_radius(front, t) > min(string_clearance_mm(q, events, l_mm),
-                                         hole_clearance_mm(q, events, l_mm))
+    event, l_mm = front.event, front.params.l_mm
+    return phonon_radius(front, t) > min(string_clearance_mm(q, event, l_mm),
+                                         hole_clearance_mm(q, event, l_mm))

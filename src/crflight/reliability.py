@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
@@ -36,17 +36,17 @@ class ReliabilityParams:
     lambda_per_s: float   # chip CRE rate
     tau_s: float          # time to move the logical qubit to safety
     d: int                # code distance
-    p_hole_hit: float = 2.0 / (FRAME_WIDTH_CELLS * FRAME_HEIGHT_CELLS)
+    # Two hole cells of the reference frame, which the analytic Monte Carlo
+    # samples; any other value would break that cross-check.
+    p_hole_hit: ClassVar[float] = 2.0 / (FRAME_WIDTH_CELLS * FRAME_HEIGHT_CELLS)
 
     def __post_init__(self) -> None:
-        if self.lambda_per_s < 0:
+        if not self.lambda_per_s >= 0:
             raise ValueError(f"lambda_per_s must be >= 0, got {self.lambda_per_s}")
-        if self.tau_s < 0:
+        if not self.tau_s >= 0:
             raise ValueError(f"tau_s must be >= 0, got {self.tau_s}")
-        if self.d < 2:
+        if not self.d >= 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
-        if not 0 <= self.p_hole_hit <= 1:
-            raise ValueError(f"p_hole_hit must be in [0, 1], got {self.p_hole_hit}")
 
 
 def p_few_hits(d: int, lambda_per_s: float, tau_s: float) -> float:

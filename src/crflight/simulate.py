@@ -1,16 +1,17 @@
 """Continuous-time flee simulation: detection, move planning, execution.
 
-Movement semantics: a hole travels any lattice distance along an open
-channel in a fixed time of d cycles. A vertical move of a horizontal
-qubit shifts both holes simultaneously (one batch, d cycles); a
-horizontal move shifts them sequentially because one hole blocks the
-other (two batches, 2d cycles total).
+One strike at a time: every function here takes a single ``CreEvent``.
+
+Movement semantics: qubits are horizontal, and a hole travels any lattice
+distance along an open channel in a fixed time of d cycles. A vertical
+move shifts both holes simultaneously (one batch, d cycles); a horizontal
+move shifts them sequentially because one hole blocks the other (two
+batches, 2d cycles total).
 
 During simulation a qubit is evaluated at the target of the last move
-batch that has started. Survival is judged by string consumption: a
-qubit is lost the moment every one of its d - 1 string data qubits lies
-strictly inside a phonon disc. The stricter predicate that also counts
-a fully swallowed hole is available as ``predicate="strict"``.
+batch that has started. Survival is judged by the string rule alone, the
+one the solver's conditions use: a qubit is lost the moment every one of
+its d - 1 string data qubits lies strictly inside the phonon disc.
 """
 
 from __future__ import annotations
@@ -22,12 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mapping import Mapping
-from .model import (HOLE_SIDE_FRACTION, HORIZONTAL, CreEvent, LogicalQubit,
-                    PhononFront, PhysicalParams, _min_event_distance,
-                    hole_clearance_mm, phonon_radius, string_clearance_mm)
-
-STRING_PREDICATE = "string"
-STRICT_PREDICATE = "strict"
+from .model import (HOLE_SIDE_FRACTION, CreEvent, LogicalQubit, PhononFront,
+                    PhysicalParams, phonon_radius, string_clearance_mm)
 
 
 class UnescapableError(Exception):
@@ -83,16 +80,10 @@ def detect(event: CreEvent, p: PhysicalParams) -> float:
     return event.t0_cycles + p.delta_cycles
 
 
-def _events_list(event) -> Tuple[CreEvent, ...]:
-    if isinstance(event, CreEvent):
-        return (event,)
-    return tuple(event)
-
-
-def is_safe_position(q: LogicalQubit, events: Sequence[CreEvent],
+def is_safe_position(q: LogicalQubit, event: CreEvent,
                      p: PhysicalParams) -> bool:
     """True iff the string cannot be fully consumed even at radius r_max."""
-    return string_clearance_mm(q, events, p.l_mm) >= p.r_max_mm
+    return string_clearance_mm(q, event, p.l_mm) >= p.r_max_mm
 
 
 def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int], obstacles,
@@ -108,10 +99,10 @@ def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int], obstacles,
     return False
 
 
-def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
-    """Plan escapes for every qubit whose string could be fully consumed.
+def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
+    """Plan escapes for every qubit whose string the strike could consume.
 
-    Qubits nearest an epicenter get first pick of targets. Each plan is
+    Qubits nearest the epicenter get first pick of targets. Each plan is
     a vertical batch into an adjacent channel, optionally followed by a
     horizontal run along it: at most three sequential batches. The route
     taken is the nearest safe one whose legs no other hole blocks and whose
@@ -119,22 +110,16 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
     qubit waits there, judged by the simulator's own closed form
     (``_span_crossing``); if every safe route's stopover is overrun, the
     nearest safe route is the fallback. Raises UnescapableError when a
-    threatened qubit has no safe in-bounds target, and ValueError for a
-    vertical qubit, whose moves it cannot plan.
+    threatened qubit has no safe in-bounds target.
     """
-    for qid, q in enumerate(m.qubits):
-        if q.orientation != HORIZONTAL:
-            raise ValueError(f"qubit {qid} is {q.orientation}; plan_flight "
-                             f"plans moves for horizontal qubits only")
-    events = _events_list(event)
     d = p.d
-    front = PhononFront(events[0], p)
-    t_move = detect(events[0], p) + 1.0
+    front = PhononFront(event, p)
+    t_move = detect(event, p) + 1.0
 
     threatened = [(qid, q) for qid, q in enumerate(m.qubits)
-                  if not is_safe_position(q, events, p)]
+                  if not is_safe_position(q, event, p)]
     threatened.sort(key=lambda item: (
-        min(_min_event_distance(pt.physical(p.l_mm), events)
+        min(event.distance_mm(pt.physical(p.l_mm))
             for pt in item[1].all_points()),
         item[0]))
 
@@ -154,15 +139,13 @@ def plan_flight(m: Mapping, event, p: PhysicalParams) -> MovePlan:
         # Whether the front overruns the stopover at (x, y2) during the d
         # cycles before the horizontal run leaves it.
         overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
-                                      t_move + d, events, front,
-                                      STRING_PREDICATE) is not None
+                                      t_move + d, front) is not None
                    for y2 in channels}
         obstacles = [h for other, hs in occupancy.items() if other != qid
                      for h in hs]
-        chosen = None
-        fallback = None
+        chosen = fallback = None
         for _, y2, x2 in candidates:
-            if not is_safe_position(q.translated(x2 - x, y2 - y), events, p):
+            if not is_safe_position(q.translated(x2 - x, y2 - y), event, p):
                 continue
             if any(_leg_blocked(a, b, obstacles, d) for a, b in (
                     ((x, y), (x, y2)), ((x + d, y), (x + d, y2)),
@@ -220,16 +203,12 @@ def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
     batches: Dict[float, List[MoveStep]] = {}
     for s in plan_steps:
         batches.setdefault(s.start_cycle, []).append(s)
-    off = (d, 0) if q.orientation == HORIZONTAL else (0, d)
     for start in sorted(batches):
         step = batches[start][0]
         tx, ty = step.target
         if step.hole_index == 1:
-            tx, ty = tx - off[0], ty - off[1]
-        if step.axis == "y":
-            new_x, new_y = cur_x, ty
-        else:
-            new_x, new_y = tx, cur_y
+            tx -= d
+        new_x, new_y = (cur_x, ty) if step.axis == "y" else (tx, cur_y)
         if (new_x, new_y) != (cur_x, cur_y):
             cur_x, cur_y = new_x, new_y
             out.append((start, q.translated(cur_x - q.holes[0].center.x,
@@ -238,21 +217,19 @@ def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
 
 
 def _span_crossing(q: LogicalQubit, start: float, end: float,
-                   events: Sequence[CreEvent], front: PhononFront,
-                   predicate: str) -> Optional[float]:
-    """First time the front overwhelms q held still over [start, end), or None.
+                   front: PhononFront) -> Optional[float]:
+    """First time the front overwhelms q's string while q is held still
 
-    The radius grows linearly until it dissipates, so with the qubit's
-    clearance thr the crossing is max(start, t0 + thr / mm_per_cycle),
-    provided thr < r_max and that time falls inside the span and no later
-    than dissipation. A front that does not move crosses nothing.
+    over [start, end), or None. The radius grows linearly until it
+    dissipates, so with the string clearance thr the crossing is
+    max(start, t0 + thr / mm_per_cycle), provided thr < r_max and that time
+    falls inside the span and no later than dissipation. A front that does
+    not move crosses nothing.
     """
     p = front.params
     if p.mm_per_cycle == 0:
         return None
-    thr = string_clearance_mm(q, events, p.l_mm)
-    if predicate == STRICT_PREDICATE:
-        thr = min(thr, hole_clearance_mm(q, events, p.l_mm))
+    thr = string_clearance_mm(q, front.event, p.l_mm)
     if thr >= p.r_max_mm:
         return None
     t0 = front.event.t0_cycles
@@ -260,26 +237,19 @@ def _span_crossing(q: LogicalQubit, start: float, end: float,
     return t if t < end and t <= t0 + front.t_dissipate_cycles else None
 
 
-def simulate(m: Mapping, event, p: PhysicalParams, plan: MovePlan,
-             predicate: str = STRING_PREDICATE) -> SimOutcome:
+def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
+             plan: MovePlan) -> SimOutcome:
     """Record per-qubit survival and the exact time of each destruction.
 
     Each position span [start, end) a qubit holds is judged in closed form
-    by ``_span_crossing``. Clearances are against the union of discs at a
-    common radius, which is exact for concurrent strikes.
+    by ``_span_crossing``, with the string rule.
     """
-    if predicate not in (STRING_PREDICATE, STRICT_PREDICATE):
-        raise ValueError(f"unknown predicate {predicate!r}")
-    events = _events_list(event)
-    if len({e.t0_cycles for e in events}) != 1:
-        raise ValueError("multiple strikes must be concurrent (equal t0)")
-    t0 = events[0].t0_cycles
-    front = PhononFront(events[0], p)
+    t0 = event.t0_cycles
+    front = PhononFront(event, p)
     timeline: List[Tuple[float, str, Optional[int], str]] = []
-    timeline.append((t0, "strike", None,
-                     ";".join(f"({e.x_mm:g},{e.y_mm:g})" for e in events)))
-    t_detect = detect(events[0], p)
-    timeline.append((t_detect, "detected", None, f"delta={p.delta_cycles:g}"))
+    timeline.append((t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"))
+    timeline.append((detect(event, p), "detected", None,
+                     f"delta={p.delta_cycles:g}"))
 
     for s in plan.steps:
         timeline.append((s.start_cycle, "move_start", s.qubit_id,
@@ -292,7 +262,7 @@ def simulate(m: Mapping, event, p: PhysicalParams, plan: MovePlan,
         spans = _positions_over_time(q, plan.steps_for(qid))
         for k, (start, moved) in enumerate(spans):
             end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-            t = _span_crossing(moved, start, end, events, front, predicate)
+            t = _span_crossing(moved, start, end, front)
             if t is not None:
                 destroyed_at[qid] = t
                 timeline.append((t, "destroyed", qid,

@@ -137,7 +137,7 @@ def sweep(parameter: str, values: Sequence[float], fixed: PhysicalParams,
     values = list(values)
     if not values:
         raise ValueError("sweep range is empty")
-    if any(v <= 0 for v in values):
+    if any(not v > 0 for v in values):
         raise ValueError("sweep values must be positive")
     rows: List[SweepRow] = []
     for v in sorted(values):

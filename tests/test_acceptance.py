@@ -122,7 +122,7 @@ def test_criterion_4_feasibility_matches_simulation():
     def scenario_setup(p, kind):
         """One qubit at the origin, strike ``x0`` beyond its near hole."""
         x0 = 0.0 if kind == AT_HOLE else p.d / 2.0
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", p.d)
+        q = LogicalQubit.place(LatticePoint(0, 0), p.d)
         shift = int(math.ceil(p.move_displacement_mm / p.l_mm))
         m = single_qubit_mapping(q, p, 2 * p.d + shift + 4, 2 * p.d)
         event = CreEvent(-x0, 0.0, 0.0)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from crflight import solver
 from crflight.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RANGE, EXIT_UNESCAPABLE,
                           main)
 from crflight.config import ConfigError, parse_config, sweep_values_from
@@ -54,6 +55,12 @@ class TestConfig:
                             "sweep_start = 1\nsweep_stop = 2\nsweep_step = 0.5\n")
         assert sweep_values_from(parse_config(path)) == [1.0, 1.5, 2.0]
 
+    @pytest.mark.parametrize("key", ["x0_convention", "scenario"])
+    def test_unknown_choice_rejected(self, tmp_path, key):
+        path = write_config(tmp_path, f"d = 7\n{key} = bogus\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: " + key):
+            parse_config(path)
+
     def test_explicit_values_win(self, tmp_path):
         path = write_config(tmp_path,
                             "sweep_start = 1\nsweep_stop = 9\nsweep_values = 4\n")
@@ -82,6 +89,18 @@ class TestSweepCommands:
         cfg = write_config(tmp_path, "sweep_values = -1\n")
         code = main(["sweep-delta", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_RANGE
+
+    def test_nan_sweep_value_is_range_error(self, tmp_path):
+        cfg = write_config(tmp_path, "sweep_values = nan, 3\n")
+        out = tmp_path / "out"
+        code = main(["sweep-rmax", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert not (out / "sweep_r_max.csv").exists()
+
+    def test_unknown_x0_convention_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, "x0_convention = bogus\n")
+        code = main(["sweep-l", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bogus = 1\n")
@@ -147,8 +166,33 @@ class TestReliabilityCommand:
         code = main(["reliability", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_RANGE
 
+    @pytest.mark.parametrize("line", ["n_trials = 0", "tau_s_min = nan",
+                                      "lambda_per_s = nan"])
+    def test_range_error_leaves_no_csv(self, tmp_path, line):
+        cfg = write_config(tmp_path, line + "\ntau_points = 3\n")
+        out = tmp_path / "out"
+        code = main(["reliability", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert not (out / "reliability.csv").exists()
+
 
 class TestReplicateCommand:
+    def test_error_in_later_sweep_leaves_no_csv(self, tmp_path, monkeypatch):
+        # fail the r_max sweep, the second of three
+        point_rows = solver.point_rows
+
+        def failing(value, p, *args):
+            if p.r_max_mm < 3:
+                raise ValueError("injected")
+            return point_rows(value, p, *args)
+
+        monkeypatch.setattr(solver, "point_rows", failing)
+        cfg = write_config(tmp_path, "sweep_values = 1, 2\n")
+        out = tmp_path / "out"
+        code = main(["replicate-paper", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert list(out.iterdir()) == []
+
     def test_deterministic_per_seed(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_values = 1, 10, 50\nd_max = 200\n")
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))

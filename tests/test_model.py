@@ -39,6 +39,11 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             params(d=3.5)
 
+    @pytest.mark.parametrize("name", ["l", "v_p", "delta", "t_c", "r_max", "dl"])
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError):
+            params(**{name: math.nan})
+
 
 class TestPhononRadius:
     def test_one_cycle_silicon_speed(self):
@@ -79,13 +84,13 @@ class TestCompromisedCount:
     """string_overwhelmed (radius > string clearance) against the disc count."""
 
     def test_zero_radius(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
+        q = LogicalQubit.place(LatticePoint(0, 0), 11)
         f = PhononFront(CreEvent(5.5, 0.0), params())
         assert brute_force_compromised(f, q, 0.0) == 0
         assert not string_overwhelmed(f, q, 0.0)
 
     def test_full_coverage(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
+        q = LogicalQubit.place(LatticePoint(0, 0), 11)
         f = PhononFront(CreEvent(5.5, 0.0), params())
         # radius 25 mm at t=10 engulfs the whole 10-qubit string
         assert brute_force_compromised(f, q, 10.0) == 10
@@ -94,7 +99,7 @@ class TestCompromisedCount:
     def test_partial_coverage_matches_oracle(self):
         # epicenter at the string midpoint (5.5 mm), radius 2.6 mm after one
         # cycle; expected value frozen from the brute-force oracle
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
+        q = LogicalQubit.place(LatticePoint(0, 0), 11)
         f = PhononFront(CreEvent(5.5, 0.0), params(v_p=2.6))
         assert brute_force_compromised(f, q, 1.0) == 6
         assert not string_overwhelmed(f, q, 1.0)
@@ -103,14 +108,14 @@ class TestCompromisedCount:
     @given(st.integers(2, 30), st.floats(-20, 40), st.floats(-20, 20),
            st.floats(0, 20), st.floats(0.2, 3.0))
     def test_matches_oracle_everywhere(self, d, ex, ey, t, l):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", d)
+        q = LogicalQubit.place(LatticePoint(0, 0), d)
         f = PhononFront(CreEvent(ex, ey), params(l=l, d=d))
         assert string_overwhelmed(f, q, t) == (
             brute_force_compromised(f, q, t) >= d - 1)
 
     @given(st.integers(2, 20), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_monotone_in_radius(self, d, t1, t2):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", d)
+        q = LogicalQubit.place(LatticePoint(0, 0), d)
         f = PhononFront(CreEvent(d / 2, 0.3), params(d=d, r_max=1e9))
         if t1 > t2:
             t1, t2 = t2, t1
@@ -119,12 +124,12 @@ class TestCompromisedCount:
 
 class TestDestruction:
     def test_zero_radius_safe(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
+        q = LogicalQubit.place(LatticePoint(0, 0), 11)
         f = PhononFront(CreEvent(5.5, 0.0), params())
         assert not is_destroyed(f, q, 0.0)
 
     def test_everything_engulfed(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
+        q = LogicalQubit.place(LatticePoint(0, 0), 11)
         f = PhononFront(CreEvent(5.5, 0.0), params())
         assert is_destroyed(f, q, 20.0)
 
@@ -132,7 +137,7 @@ class TestDestruction:
         # epicenter on one hole center; radius 2.0 mm covers the d/4-wide
         # footprint (far corner at 11/8 * sqrt(2) ~ 1.94 mm) but only one
         # string qubit, so destruction comes from the hole clause alone
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 11)
+        q = LogicalQubit.place(LatticePoint(0, 0), 11)
         f = PhononFront(CreEvent(0.0, 0.0), params(v_p=2.0))
         assert brute_force_compromised(f, q, 1.0) < 10
         assert hole_consumed(f, q.holes[0], 1.0)
@@ -141,7 +146,7 @@ class TestDestruction:
 
     @given(st.integers(2, 20), st.floats(-10, 30), st.floats(-10, 10))
     def test_no_healing_while_active(self, d, ex, ey):
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", d)
+        q = LogicalQubit.place(LatticePoint(0, 0), d)
         p = params(d=d, r_max=40.0)
         f = PhononFront(CreEvent(ex, ey), p)
         active = [t for t in range(0, int(f.t_dissipate_cycles) + 1)]
@@ -162,14 +167,14 @@ class TestGeometryTypes:
     def test_qubit_requires_exact_separation(self):
         holes = (Hole(LatticePoint(0, 0), 1.0), Hole(LatticePoint(5, 0), 1.0))
         with pytest.raises(ValueError):
-            LogicalQubit(holes, "horizontal", 4)
+            LogicalQubit(holes, 4)
 
     def test_string_has_d_minus_1_points(self):
-        q = LogicalQubit.place(LatticePoint(2, 3), "vertical", 7)
+        q = LogicalQubit.place(LatticePoint(2, 3), 7)
         pts = q.string_points()
         assert len(pts) == 6
-        assert pts[0] == LatticePoint(2, 4)
-        assert pts[-1] == LatticePoint(2, 9)
+        assert pts[0] == LatticePoint(3, 3)
+        assert pts[-1] == LatticePoint(8, 3)
 
     def test_dissipation_time(self):
         f = PhononFront(CreEvent(0, 0), params())

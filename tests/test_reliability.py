@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping
 from crflight.model import PhysicalParams
-from crflight.reliability import (ReliabilityParams, _trial_failures,
-                                  failure_probability, monte_carlo_failure,
-                                  p_few_hits)
+from crflight.reliability import (ReliabilityParams, _frame_geometry_mm,
+                                  _trial_failures, failure_probability,
+                                  monte_carlo_failure, p_few_hits)
 
 
 def mpmath_poisson_cdf(k, mean):
@@ -27,6 +27,14 @@ class TestHoleHit:
     def test_canonical_frame(self):
         # two hole cells in the 10 x 5-cell reference frame
         assert ReliabilityParams(0.1, 1.0, 11).p_hole_hit == 2.0 / 50.0
+
+    @pytest.mark.parametrize("d, l_mm", [(2, 1.0), (5, 0.3), (11, 1.0),
+                                         (24, 2.5), (101, 0.07)])
+    def test_matches_monte_carlo_frame(self, d, l_mm):
+        # the analytic Monte Carlo samples this frame's two hole cells
+        width, height, cell, _, _ = _frame_geometry_mm(d, l_mm)
+        assert ReliabilityParams(0.1, 1.0, d).p_hole_hit == pytest.approx(
+            2 * cell ** 2 / (width * height), rel=1e-12)
 
 
 class TestPoissonTail:
@@ -93,8 +101,12 @@ class TestFailureProbability:
             ReliabilityParams(1.0, -1.0, 5)
         with pytest.raises(ValueError):
             ReliabilityParams(1.0, 1.0, 1)
+
+    def test_params_reject_nan(self):
         with pytest.raises(ValueError):
-            ReliabilityParams(1.0, 1.0, 5, p_hole_hit=1.5)
+            ReliabilityParams(math.nan, 1.0, 5)
+        with pytest.raises(ValueError):
+            ReliabilityParams(1.0, math.nan, 5)
 
 
 class TestMonteCarlo:

@@ -69,15 +69,6 @@ class TestPlanFlight:
         outcome = simulate(m, CreEvent(cx, cy), p, plan)
         assert all(outcome.survived.values())
 
-    def test_rejects_vertical_qubit(self):
-        # hole 1 of a vertical qubit is not at x + d; planning its escape
-        # as if it were would turn it horizontal
-        p = params(r_max=4.0)
-        q = LogicalQubit.place(LatticePoint(8, 8), "vertical", p.d)
-        m = single_qubit_mapping(q, p, 24, 24)
-        with pytest.raises(ValueError, match="qubit 0 is vertical"):
-            plan_flight(m, CreEvent(8.0, 10.0), p)
-
     def test_unescapable_when_storm_covers_frame(self):
         p = params(r_max=500.0)
         m = build_mapping(1, 1, p)
@@ -132,7 +123,7 @@ class TestPlanFlightProperties:
         try:
             plan = plan_flight(m, event, p)
         except UnescapableError as exc:
-            assert not is_safe_position(m.qubits[exc.qubit_id], [event], p)
+            assert not is_safe_position(m.qubits[exc.qubit_id], event, p)
             return
         assert plan_flight(m, event, p) == plan
         assert all(plan.batch_count(qid) <= 3 for qid in plan.qubit_ids())
@@ -186,7 +177,7 @@ class TestSimulate:
 
     def test_displacement_plan_translates_whole_qubit(self):
         p = params(d=5, v_p=1.0, r_max=7.0)
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 5)
+        q = LogicalQubit.place(LatticePoint(0, 0), 5)
         m = single_qubit_mapping(q, p, 60, 20)
         event = CreEvent(-1.0, 0.0)
         doomed = simulate(m, event, p, MovePlan())
@@ -216,19 +207,6 @@ class TestSimulate:
                 for b in centers[i + 1:]:
                     assert abs(a.x - b.x) >= d / 4 or abs(a.y - b.y) >= d / 4
 
-    def test_rejects_non_concurrent_events(self):
-        p = params()
-        m = build_mapping(1, 1, p)
-        with pytest.raises(ValueError):
-            simulate(m, [CreEvent(0, 0, 0.0), CreEvent(5, 5, 1.0)], p, MovePlan())
-
-    def test_union_of_two_strikes(self):
-        p = params(v_p=0.0, r_max=10.0)
-        m = build_mapping(1, 2, p)
-        events = [CreEvent(1.0, 1.0), CreEvent(20.0, 4.0)]
-        outcome = simulate(m, events, p, MovePlan())
-        assert all(outcome.survived.values())
-
     def test_deterministic_event_log(self):
         p = params(v_p=0.5, r_max=12.0)
         m = build_mapping(3, 3, p)
@@ -241,17 +219,6 @@ class TestSimulate:
         assert {"strike", "detected", "move_start", "move_complete",
                 "dissipated", "survived"} <= kinds
 
-    def test_strict_predicate_counts_swallowed_hole(self):
-        # small storm: covers one hole footprint but not the whole string
-        p = params(d=8, v_p=2.0, r_max=3.5)
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 8)
-        m = single_qubit_mapping(q, p, 40, 20)
-        event = CreEvent(0.0, 0.0)
-        relaxed = simulate(m, event, p, MovePlan(), predicate="string")
-        strict = simulate(m, event, p, MovePlan(), predicate="strict")
-        assert relaxed.survived[0] is True
-        assert strict.survived[0] is False
-
 
 class TestContinuousTime:
     def test_destroyed_between_integer_cycles(self):
@@ -260,7 +227,7 @@ class TestContinuousTime:
         # t = 2.5; sampling at integer cycles misses it (radius 2 at t = 2,
         # and the qubit has moved away by t = 3).
         p = params(d=4, v_p=1.0, delta=1.5, r_max=6.0)
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 4)
+        q = LogicalQubit.place(LatticePoint(0, 0), 4)
         m = single_qubit_mapping(q, p, 40, 20)
         event = CreEvent(2.0, 2.0)
         plan = displacement_plan(0, q, 0, -4, detect(event, p) + 1, p.d)
@@ -282,7 +249,7 @@ class TestContinuousTime:
     def test_matches_disc_count_oracle(self, d, l, v_p, delta, r_max, t0,
                                        ex, ey, axis, shift):
         p = params(l=l, d=d, v_p=v_p, delta=delta, r_max=r_max)
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", d)
+        q = LogicalQubit.place(LatticePoint(0, 0), d)
         m = single_qubit_mapping(q, p, 40, 40)
         event = CreEvent(ex, ey, t0)
         t_move = detect(event, p) + 1
@@ -313,8 +280,8 @@ class TestContinuousTime:
 class TestSafety:
     def test_safe_iff_string_point_clears_r_max(self):
         p = params(d=4, r_max=5.0)
-        q = LogicalQubit.place(LatticePoint(0, 0), "horizontal", 4)
+        q = LogicalQubit.place(LatticePoint(0, 0), 4)
         near = CreEvent(2.0, 0.0)     # clearance 1 mm < r_max
         far = CreEvent(2.0, 6.0)      # clearance > 6 mm
-        assert not is_safe_position(q, [near], p)
-        assert is_safe_position(q, [far], p)
+        assert not is_safe_position(q, near, p)
+        assert is_safe_position(q, far, p)
