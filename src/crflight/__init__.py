@@ -5,8 +5,7 @@ simulation, and failure-probability estimation.
 """
 
 from .model import (CreEvent, Hole, LatticePoint, LogicalQubit, PhononFront,
-                    PhysicalParams, hole_clearance_mm, hole_consumed,
-                    is_destroyed, phonon_radius, string_clearance_mm,
+                    PhysicalParams, phonon_radius, string_clearance_mm,
                     string_overwhelmed)
 from .solver import (AT_HOLE, HALFWAY, FeasibilityVerdict, StrikeScenario,
                      SweepResult, SweepRow, check_condition1, check_condition2,
@@ -27,8 +26,7 @@ __all__ = [
     "StrikeScenario", "SweepResult", "SweepRow", "UnescapableError",
     "build_mapping", "check_condition1", "check_condition2",
     "check_feasibility", "detect", "displacement_plan",
-    "failure_probability", "hole_clearance_mm", "hole_consumed",
-    "is_destroyed", "is_safe_position", "min_code_distance",
+    "failure_probability", "is_safe_position", "min_code_distance",
     "monte_carlo_failure", "p_few_hits", "phonon_radius",
     "plan_flight", "simulate", "single_qubit_mapping", "string_clearance_mm",
     "string_overwhelmed", "sweep",

@@ -99,7 +99,17 @@ def _run_simulate(cfg, out_dir: Path) -> int:
     if y is None:
         y = m.height_mm / 2.0
     event = CreEvent(x, y, 0.0)
-    plan = plan_flight(m, event, p)
+    try:
+        plan = plan_flight(m, event, p)
+    except UnescapableError as exc:
+        # The usual cause is a d below the solver's answer, so name that.
+        rows = solver.point_rows(p.d, p, _scenarios(cfg), cfg["x0_convention"],
+                                 cfg["d_max"])
+        needed = ", ".join(f"{r.min_d or 'none up to d_max'} ({r.scenario})"
+                           for r in rows)
+        print(f"crflight: {exc}; solver minimum d: {needed}; configured d = {p.d}",
+              file=sys.stderr)
+        return EXIT_UNESCAPABLE
     outcome = simulate(m, event, p, plan)
     (out_dir / "mapping.json").write_text(m.to_json() + "\n")
     (out_dir / "event_log.csv").write_text(outcome.event_log_csv())
@@ -197,9 +207,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"crflight: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnescapableError as exc:
-        print(f"crflight: {exc}", file=sys.stderr)
-        return EXIT_UNESCAPABLE
     except ValueError as exc:
         print(f"crflight: range error: {exc}", file=sys.stderr)
         return EXIT_RANGE

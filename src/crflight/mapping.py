@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Tuple
 
-from .model import LatticePoint, LogicalQubit, PhysicalParams
+from .model import (HOLE_SIDE_FRACTION, LatticePoint, LogicalQubit,
+                    PhysicalParams)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class Mapping:
                     "id": i,
                     "orientation": "horizontal",
                     "holes": [[h.center.x, h.center.y] for h in q.holes],
-                    "hole_half_width": q.holes[0].half_width,
+                    "hole_half_width": q.code_distance * HOLE_SIDE_FRACTION / 2.0,
                 }
                 for i, q in enumerate(self.qubits)
             ],

@@ -70,34 +70,15 @@ class LatticePoint:
 
 @dataclass(frozen=True)
 class Hole:
-    """A defect in the code surface. Footprint is a square of side
+    """A defect in the code surface, centered on ``center``. Its footprint
 
-    2 * half_width lattice units centered on ``center``.
+    is a square of side d * HOLE_SIDE_FRACTION lattice units.
     """
 
     center: LatticePoint
-    half_width: float  # lattice units
-
-    def __post_init__(self) -> None:
-        if self.half_width < 0:
-            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
-
-    @staticmethod
-    def default_half_width(d: int) -> float:
-        return d * HOLE_SIDE_FRACTION / 2.0
-
-    def farthest_corner_distance_mm(self, epicenter_mm: Tuple[float, float],
-                                    l_mm: float) -> float:
-        """Distance from an epicenter to the footprint corner farthest from it."""
-        cx, cy = self.center.physical(l_mm)
-        hw = self.half_width * l_mm
-        ex, ey = epicenter_mm
-        dx = max(abs(ex - (cx - hw)), abs(ex - (cx + hw)))
-        dy = max(abs(ey - (cy - hw)), abs(ey - (cy + hw)))
-        return math.hypot(dx, dy)
 
     def translated(self, dx: int, dy: int) -> "Hole":
-        return Hole(self.center.translated(dx, dy), self.half_width)
+        return Hole(self.center.translated(dx, dy))
 
 
 @dataclass(frozen=True)
@@ -124,8 +105,7 @@ class LogicalQubit:
     @classmethod
     def place(cls, near: LatticePoint, d: int) -> "LogicalQubit":
         """Place a qubit with its first hole at ``near``."""
-        hw = Hole.default_half_width(d)
-        return cls((Hole(near, hw), Hole(near.translated(d, 0), hw)), d)
+        return cls((Hole(near), Hole(near.translated(d, 0))), d)
 
     def string_points(self) -> Tuple[LatticePoint, ...]:
         """The d - 1 data qubits of the inter-hole operator string."""
@@ -150,9 +130,11 @@ class CreEvent:
     y_mm: float
     t0_cycles: float = 0.0
 
-    @property
-    def epicenter_mm(self) -> Tuple[float, float]:
-        return (self.x_mm, self.y_mm)
+    def __post_init__(self) -> None:
+        for name in ("x_mm", "y_mm", "t0_cycles"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def distance_mm(self, point_mm: Tuple[float, float]) -> float:
         return math.hypot(point_mm[0] - self.x_mm, point_mm[1] - self.y_mm)
@@ -189,31 +171,15 @@ def string_clearance_mm(q: LogicalQubit, event: CreEvent,
     """Largest epicenter clearance over the string. All d - 1 string
 
     qubits lie strictly inside the strike's disc exactly when its radius
-    exceeds this.
+    exceeds this. The string is a straight row, so the distance along it
+    has no interior maximum and one of the two end qubits is farthest.
     """
-    return max(event.distance_mm(pt.physical(l_mm)) for pt in q.string_points())
-
-
-def hole_clearance_mm(q: LogicalQubit, event: CreEvent, l_mm: float) -> float:
-    """Radius beyond which a hole footprint lies inside the strike's disc."""
-    return min(hole.farthest_corner_distance_mm(event.epicenter_mm, l_mm)
-               for hole in q.holes)
+    a, d = q.holes[0].center, q.code_distance
+    return max(event.distance_mm(LatticePoint(a.x + k, a.y).physical(l_mm))
+               for k in (1, d - 1))
 
 
 def string_overwhelmed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
     """True iff all d - 1 string qubits are strictly inside the disc."""
     return phonon_radius(front, t) > string_clearance_mm(
         q, front.event, front.params.l_mm)
-
-
-def hole_consumed(front: PhononFront, hole: Hole, t: float) -> bool:
-    """True iff the hole's entire footprint lies strictly inside the disc."""
-    return phonon_radius(front, t) > hole.farthest_corner_distance_mm(
-        front.event.epicenter_mm, front.params.l_mm)
-
-
-def is_destroyed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
-    """Destruction predicate: the string is overwhelmed or a hole is swallowed."""
-    event, l_mm = front.event, front.params.l_mm
-    return phonon_radius(front, t) > min(string_clearance_mm(q, event, l_mm),
-                                         hole_clearance_mm(q, event, l_mm))

@@ -3,11 +3,14 @@
 estimator that cross-checks it.
 
 The analytic model: a logical qubit is lost if the strike lands inside
-one of its two holes (probability ``p_hole_hit``), or if d - 1 or more
-strikes arrive while the qubit is still in flight. Strike arrivals are
-Poisson with mean lambda * tau, so
+one of its two holes (probability ``p_hole_hit``, the package's only hole
+rule), or if d - 1 or more strikes arrive while the qubit is still in
+flight. Strike arrivals are Poisson with mean lambda * tau, so
 
     P(failure) = 1 - (1 - p_hole_hit) * P[N <= d - 2]
+
+The simulator Monte Carlo mode judges each strike by the string rule
+alone, so it counts no hole hits and answers a different question.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ def p_few_hits(d: int, lambda_per_s: float, tau_s: float) -> float:
     m = lambda_per_s * tau_s
     if m < 0:
         raise ValueError("lambda * tau must be >= 0")
+    if m == math.inf:
+        return 0.0  # the recurrence would compute exp(-inf) * inf = NaN
     term = math.exp(-m)
     total = term
     for k in range(1, d - 1):

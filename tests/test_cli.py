@@ -144,6 +144,25 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_UNESCAPABLE
 
+    def test_unescapable_names_solver_minimum_d(self, tmp_path, capsys):
+        # the documented defaults (d = 11) are below the solver's own answer
+        code = main(["simulate", "--out", str(tmp_path)])
+        assert code == EXIT_UNESCAPABLE
+        err = capsys.readouterr().err
+        assert "46 (halfway), 69 (at_hole)" in err
+        assert "configured d = 11" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epicenter_is_range_error(self, tmp_path, value):
+        cfg = write_config(tmp_path, "\n".join([
+            "d = 4", "rows = 2", "cols = 2", "r_max_mm = 6.0",
+            "v_p_mm_per_us = 0.5", f"epicenter_x_mm = {value}",
+        ]))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert not any(out.iterdir())
+
 
 class TestReliabilityCommand:
     def test_left_endpoint_matches_analytic(self, tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crflight.model import (CreEvent, Hole, LatticePoint, LogicalQubit,
-                            PhononFront, PhysicalParams, hole_consumed,
-                            is_destroyed, phonon_radius, string_overwhelmed)
+                            PhononFront, PhysicalParams, phonon_radius,
+                            string_clearance_mm, string_overwhelmed)
 
 
 def params(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
@@ -16,7 +16,7 @@ def params(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
 def brute_force_compromised(front, q, t):
     """Independent oracle: point-in-disc test over every string position."""
     r = phonon_radius(front, t)
-    ex, ey = front.event.epicenter_mm
+    ex, ey = front.event.x_mm, front.event.y_mm
     l = front.params.l_mm
     n = 0
     for p in q.string_points():
@@ -121,51 +121,46 @@ class TestCompromisedCount:
             t1, t2 = t2, t1
         assert string_overwhelmed(f, q, t1) <= string_overwhelmed(f, q, t2)
 
+    @settings(max_examples=300)
+    @given(st.integers(2, 40), st.integers(-50, 50), st.integers(-50, 50),
+           st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.01, 100.0))
+    def test_clearance_is_farthest_string_qubit(self, d, x, y, ex, ey, l):
+        # reference: the distance to every one of the d - 1 string qubits
+        q = LogicalQubit.place(LatticePoint(x, y), d)
+        event = CreEvent(ex, ey)
+        assert string_clearance_mm(q, event, l) == max(
+            event.distance_mm(pt.physical(l)) for pt in q.string_points())
+
 
 class TestDestruction:
-    def test_zero_radius_safe(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), 11)
-        f = PhononFront(CreEvent(5.5, 0.0), params())
-        assert not is_destroyed(f, q, 0.0)
-
-    def test_everything_engulfed(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), 11)
-        f = PhononFront(CreEvent(5.5, 0.0), params())
-        assert is_destroyed(f, q, 20.0)
-
-    def test_hole_swallowed_without_string_loss(self):
-        # epicenter on one hole center; radius 2.0 mm covers the d/4-wide
-        # footprint (far corner at 11/8 * sqrt(2) ~ 1.94 mm) but only one
-        # string qubit, so destruction comes from the hole clause alone
-        q = LogicalQubit.place(LatticePoint(0, 0), 11)
-        f = PhononFront(CreEvent(0.0, 0.0), params(v_p=2.0))
-        assert brute_force_compromised(f, q, 1.0) < 10
-        assert hole_consumed(f, q.holes[0], 1.0)
-        assert is_destroyed(f, q, 1.0)
-        assert not string_overwhelmed(f, q, 1.0)
-
     @given(st.integers(2, 20), st.floats(-10, 30), st.floats(-10, 10))
     def test_no_healing_while_active(self, d, ex, ey):
         q = LogicalQubit.place(LatticePoint(0, 0), d)
         p = params(d=d, r_max=40.0)
         f = PhononFront(CreEvent(ex, ey), p)
         active = [t for t in range(0, int(f.t_dissipate_cycles) + 1)]
-        flags = [is_destroyed(f, q, float(t)) for t in active]
+        flags = [string_overwhelmed(f, q, float(t)) for t in active]
         if True in flags:
             first = flags.index(True)
             assert all(flags[first:])
+
+
+class TestCreEvent:
+    @pytest.mark.parametrize("field", ["x_mm", "y_mm", "t0_cycles"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(x_mm=1.0, y_mm=2.0, t0_cycles=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CreEvent(**kwargs)
 
 
 class TestGeometryTypes:
     def test_lattice_point_physical(self):
         assert LatticePoint(3, -2).physical(0.5) == (1.5, -1.0)
 
-    def test_hole_rejects_negative_half_width(self):
-        with pytest.raises(ValueError):
-            Hole(LatticePoint(0, 0), -0.1)
-
     def test_qubit_requires_exact_separation(self):
-        holes = (Hole(LatticePoint(0, 0), 1.0), Hole(LatticePoint(5, 0), 1.0))
+        holes = (Hole(LatticePoint(0, 0)), Hole(LatticePoint(5, 0)))
         with pytest.raises(ValueError):
             LogicalQubit(holes, 4)
 

@@ -102,6 +102,11 @@ class TestFailureProbability:
         with pytest.raises(ValueError):
             ReliabilityParams(1.0, 1.0, 1)
 
+    def test_infinite_rate_always_fails(self):
+        # exp(-inf) * inf in the Poisson recurrence used to give NaN
+        assert p_few_hits(5, math.inf, 1.0) == 0.0
+        assert failure_probability(ReliabilityParams(math.inf, 1.0, 11)) == 1.0
+
     def test_params_reject_nan(self):
         with pytest.raises(ValueError):
             ReliabilityParams(math.nan, 1.0, 5)

@@ -10,6 +10,8 @@ from crflight.model import (CreEvent, LatticePoint, LogicalQubit, PhononFront,
 from crflight.simulate import (MovePlan, UnescapableError, detect,
                                displacement_plan, is_safe_position,
                                plan_flight, simulate)
+from crflight.solver import (HALF_D_MM, HALF_SEPARATION, HALFWAY,
+                             StrikeScenario, check_feasibility)
 
 
 def params(l=1.0, d=4, v_p=2.5, delta=1.0, t_c=1.0, r_max=6.0, dl=1.0):
@@ -19,7 +21,7 @@ def params(l=1.0, d=4, v_p=2.5, delta=1.0, t_c=1.0, r_max=6.0, dl=1.0):
 def brute_force_compromised(front, q, t):
     """Independent oracle: point-in-disc test over every string position."""
     r = phonon_radius(front, t)
-    ex, ey = front.event.epicenter_mm
+    ex, ey = front.event.x_mm, front.event.y_mm
     l = front.params.l_mm
     return sum(math.hypot(px - ex, py - ey) < r
                for px, py in (pt.physical(l) for pt in q.string_points()))
@@ -285,3 +287,26 @@ class TestSafety:
         far = CreEvent(2.0, 6.0)      # clearance > 6 mm
         assert not is_safe_position(q, near, p)
         assert is_safe_position(q, far, p)
+
+
+class TestModelGap:
+    """The solver's 1-D conditions are not conservative for a halfway strike.
+
+    Condition 1 allows r < x0 - r + l(d - 1), but the whole string lies within
+    about d*l/2 of its midpoint, so a point the solver calls feasible can lose
+    the qubit before its move starts. This pins the documented gap.
+    """
+
+    @pytest.mark.parametrize("dx, dy", [(5, 0), (-5, 0), (0, 5)])
+    def test_feasible_halfway_point_loses_qubit_before_move(self, dx, dy):
+        p = PhysicalParams(1.0, 10, 1.0, 5.0, 1.0, 10.0, 5.0)
+        for convention in (HALF_D_MM, HALF_SEPARATION):
+            assert check_feasibility(p, StrikeScenario(HALFWAY, convention)).feasible
+        q = LogicalQubit.place(LatticePoint(0, 0), p.d)
+        m = single_qubit_mapping(q, p, 40, 40)
+        event = CreEvent(5.0, 0.0)  # the string midpoint
+        t_move = detect(event, p) + 1
+        assert t_move == 6.0
+        outcome = simulate(m, event, p,
+                           displacement_plan(0, q, dx, dy, t_move, p.d))
+        assert outcome.destroyed_at[0] == 4.0
