@@ -4,9 +4,8 @@ phonon-front geometry, flee feasibility solving, continuous-time flight
 simulation, and failure-probability estimation.
 """
 
-from .model import (CreEvent, Hole, LatticePoint, LogicalQubit, PhononFront,
-                    PhysicalParams, phonon_radius, string_clearance_mm,
-                    string_overwhelmed)
+from .model import (CreEvent, Hole, LatticePoint, LogicalQubit, PhysicalParams,
+                    phonon_radius, string_clearance_mm, string_overwhelmed)
 from .solver import (AT_HOLE, HALFWAY, FeasibilityVerdict, StrikeScenario,
                      SweepResult, SweepRow, check_condition1, check_condition2,
                      check_feasibility, min_code_distance, sweep)
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AT_HOLE", "HALFWAY", "CreEvent", "FeasibilityVerdict", "Hole",
     "LatticePoint", "LogicalQubit", "Mapping", "MovePlan", "MoveStep",
-    "PhononFront", "PhysicalParams", "ReliabilityParams", "SimOutcome",
+    "PhysicalParams", "ReliabilityParams", "SimOutcome",
     "StrikeScenario", "SweepResult", "SweepRow", "UnescapableError",
     "build_mapping", "check_condition1", "check_condition2",
     "check_feasibility", "detect", "displacement_plan",

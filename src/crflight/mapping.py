@@ -77,7 +77,7 @@ def build_mapping(rows: int, cols: int, p: PhysicalParams) -> Mapping:
         y = d + pitch * i
         for j in range(cols):
             x = d + pitch * j
-            qubits.append(LogicalQubit.place(LatticePoint(x, y), d))
+            qubits.append(LogicalQubit(LatticePoint(x, y), d))
     width = pitch * cols + d
     height = pitch * rows
     channel_ys = tuple(pitch * i for i in range(rows + 1))

@@ -4,6 +4,11 @@ Coordinates come in two flavors: lattice units (integer grid indices,
 spacing ``l_mm`` apart) for holes and data qubits, and millimetres for
 strike epicenters and phonon radii. A lattice point (x, y) sits at
 physical position (x * l_mm, y * l_mm).
+
+Each fact is stored once. A logical qubit is its anchor, the center of its
+first hole; the second hole sits d lattice units further along x. A phonon
+front is its strike (``CreEvent``) plus the ``PhysicalParams``, so the front
+functions take both.
 """
 
 from __future__ import annotations
@@ -29,28 +34,35 @@ class PhysicalParams:
     move_displacement_mm: float = 1.0  # distance a fleeing qubit travels
 
     def __post_init__(self) -> None:
-        # Written as "not x > 0" so that NaN fails too.
-        if not self.l_mm > 0:
-            raise ValueError(f"l_mm must be > 0, got {self.l_mm}")
+        # One comparison chain per value, so that NaN and inf fail too.
+        if not 0 < self.l_mm < math.inf:
+            raise ValueError(f"l_mm must be in (0, inf), got {self.l_mm}")
         if not isinstance(self.d, int) or self.d < 2:
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
-        if not self.v_p_mm_per_us >= 0:
-            raise ValueError(f"v_p_mm_per_us must be >= 0, got {self.v_p_mm_per_us}")
-        if not self.delta_cycles >= 0:
-            raise ValueError(f"delta_cycles must be >= 0, got {self.delta_cycles}")
-        if not self.t_c_us > 0:
-            raise ValueError(f"t_c_us must be > 0, got {self.t_c_us}")
-        if not self.r_max_mm >= 0:
-            raise ValueError(f"r_max_mm must be >= 0, got {self.r_max_mm}")
-        if not self.move_displacement_mm >= 0:
-            raise ValueError(
-                f"move_displacement_mm must be >= 0, got {self.move_displacement_mm}"
-            )
+        if not 0 <= self.v_p_mm_per_us < math.inf:
+            raise ValueError("v_p_mm_per_us must be in [0, inf), "
+                             f"got {self.v_p_mm_per_us}")
+        if not 0 <= self.delta_cycles < math.inf:
+            raise ValueError("delta_cycles must be in [0, inf), "
+                             f"got {self.delta_cycles}")
+        if not 0 < self.t_c_us < math.inf:
+            raise ValueError(f"t_c_us must be in (0, inf), got {self.t_c_us}")
+        if not 0 <= self.r_max_mm < math.inf:
+            raise ValueError(f"r_max_mm must be in [0, inf), got {self.r_max_mm}")
+        if not 0 <= self.move_displacement_mm < math.inf:
+            raise ValueError("move_displacement_mm must be in [0, inf), "
+                             f"got {self.move_displacement_mm}")
 
     @property
     def mm_per_cycle(self) -> float:
         """Phonon front advance per lattice cycle."""
         return self.v_p_mm_per_us * self.t_c_us
+
+    @property
+    def t_dissipate_cycles(self) -> float:
+        """Cycles after a strike at which its front reaches r_max and dissipates."""
+        per_cycle = self.mm_per_cycle
+        return math.inf if per_cycle == 0 else self.r_max_mm / per_cycle
 
     def with_d(self, d: int) -> "PhysicalParams":
         return replace(self, d=d)
@@ -77,49 +89,39 @@ class Hole:
 
     center: LatticePoint
 
-    def translated(self, dx: int, dy: int) -> "Hole":
-        return Hole(self.center.translated(dx, dy))
-
 
 @dataclass(frozen=True)
 class LogicalQubit:
-    """An ordered pair of holes d lattice units apart along x, plus the
+    """Two holes d lattice units apart along x, the first at ``anchor``,
 
-    operator string of d - 1 data qubits running between them. Qubits lie
-    in rows, so every one is horizontal.
+    plus the operator string of d - 1 data qubits running between them.
+    Qubits lie in rows, so every one is horizontal.
     """
 
-    holes: Tuple[Hole, Hole]
+    anchor: LatticePoint
     code_distance: int
 
     def __post_init__(self) -> None:
         if self.code_distance < 2:
             raise ValueError(f"code_distance must be >= 2, got {self.code_distance}")
-        a, b = self.holes[0].center, self.holes[1].center
-        if b.x - a.x != self.code_distance or a.y != b.y:
-            raise ValueError(
-                f"hole centers {a} -> {b} are not {self.code_distance} lattice "
-                "units apart along the x axis"
-            )
 
-    @classmethod
-    def place(cls, near: LatticePoint, d: int) -> "LogicalQubit":
-        """Place a qubit with its first hole at ``near``."""
-        return cls((Hole(near), Hole(near.translated(d, 0))), d)
+    @property
+    def holes(self) -> Tuple[Hole, Hole]:
+        a = self.anchor
+        return (Hole(a), Hole(LatticePoint(a.x + self.code_distance, a.y)))
+
+    def all_points(self) -> Tuple[LatticePoint, ...]:
+        """Both hole centers and the string between them, in x order."""
+        a = self.anchor
+        return tuple(LatticePoint(a.x + k, a.y)
+                     for k in range(self.code_distance + 1))
 
     def string_points(self) -> Tuple[LatticePoint, ...]:
         """The d - 1 data qubits of the inter-hole operator string."""
-        a = self.holes[0].center
-        return tuple(LatticePoint(a.x + k, a.y)
-                     for k in range(1, self.code_distance))
-
-    def all_points(self) -> Tuple[LatticePoint, ...]:
-        return (self.holes[0].center,) + self.string_points() + (self.holes[1].center,)
+        return self.all_points()[1:-1]
 
     def translated(self, dx: int, dy: int) -> "LogicalQubit":
-        return LogicalQubit(
-            (self.holes[0].translated(dx, dy), self.holes[1].translated(dx, dy)),
-            self.code_distance)
+        return LogicalQubit(self.anchor.translated(dx, dy), self.code_distance)
 
 
 @dataclass(frozen=True)
@@ -140,30 +142,14 @@ class CreEvent:
         return math.hypot(point_mm[0] - self.x_mm, point_mm[1] - self.y_mm)
 
 
-@dataclass(frozen=True)
-class PhononFront:
-    """The growing disc of compromised area emanating from a strike."""
-
-    event: CreEvent
-    params: PhysicalParams
-
-    @property
-    def t_dissipate_cycles(self) -> float:
-        """Cycles after t0 at which the front reaches r_max and dissipates."""
-        per_cycle = self.params.mm_per_cycle
-        if per_cycle == 0:
-            return math.inf
-        return self.params.r_max_mm / per_cycle
-
-
-def phonon_radius(front: PhononFront, t: float) -> float:
+def phonon_radius(event: CreEvent, p: PhysicalParams, t: float) -> float:
     """Front radius in mm at cycle t. Zero once the front has dissipated."""
-    dt = t - front.event.t0_cycles
+    dt = t - event.t0_cycles
     if dt < 0:
-        raise ValueError(f"t={t} precedes event time {front.event.t0_cycles}")
-    if dt > front.t_dissipate_cycles:
+        raise ValueError(f"t={t} precedes event time {event.t0_cycles}")
+    if dt > p.t_dissipate_cycles:
         return 0.0
-    return min(front.params.mm_per_cycle * dt, front.params.r_max_mm)
+    return min(p.mm_per_cycle * dt, p.r_max_mm)
 
 
 def string_clearance_mm(q: LogicalQubit, event: CreEvent,
@@ -174,12 +160,12 @@ def string_clearance_mm(q: LogicalQubit, event: CreEvent,
     exceeds this. The string is a straight row, so the distance along it
     has no interior maximum and one of the two end qubits is farthest.
     """
-    a, d = q.holes[0].center, q.code_distance
+    a, d = q.anchor, q.code_distance
     return max(event.distance_mm(LatticePoint(a.x + k, a.y).physical(l_mm))
                for k in (1, d - 1))
 
 
-def string_overwhelmed(front: PhononFront, q: LogicalQubit, t: float) -> bool:
+def string_overwhelmed(event: CreEvent, p: PhysicalParams, q: LogicalQubit,
+                       t: float) -> bool:
     """True iff all d - 1 string qubits are strictly inside the disc."""
-    return phonon_radius(front, t) > string_clearance_mm(
-        q, front.event, front.params.l_mm)
+    return phonon_radius(event, p, t) > string_clearance_mm(q, event, p.l_mm)

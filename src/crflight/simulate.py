@@ -6,10 +6,12 @@ Movement semantics: qubits are horizontal, and a hole travels any lattice
 distance along an open channel in a fixed time of d cycles. A vertical
 move shifts both holes simultaneously (one batch, d cycles); a horizontal
 move shifts them sequentially because one hole blocks the other (two
-batches, 2d cycles total).
+batches, 2d cycles total). A ``MoveStep`` is therefore just a hole, its
+target and its start cycle: the axis follows from the target and the
+duration is always the qubit's d.
 
-During simulation a qubit is evaluated at the target of the last move
-batch that has started. Survival is judged by the string rule alone, the
+During simulation a qubit is evaluated at the anchor its last started
+step implies. Survival is judged by the string rule alone, the
 one the solver's conditions use: a qubit is lost the moment every one of
 its d - 1 string data qubits lies strictly inside the phonon disc.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mapping import Mapping
-from .model import (HOLE_SIDE_FRACTION, CreEvent, LogicalQubit, PhononFront,
+from .model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint, LogicalQubit,
                     PhysicalParams, phonon_radius, string_clearance_mm)
 
 
@@ -39,10 +41,8 @@ class UnescapableError(Exception):
 class MoveStep:
     qubit_id: int
     hole_index: int
-    axis: str                  # "x" | "y"
     target: Tuple[int, int]    # hole center after the step, lattice units
-    start_cycle: float
-    duration_cycles: int
+    start_cycle: float         # the step takes the qubit's d cycles
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     threatened qubit has no safe in-bounds target.
     """
     d = p.d
-    front = PhononFront(event, p)
     t_move = detect(event, p) + 1.0
 
     threatened = [(qid, q) for qid, q in enumerate(m.qubits)
@@ -124,14 +123,13 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
         item[0]))
 
     # Current hole centers; updated with chosen targets as planning proceeds.
-    occupancy: Dict[int, Tuple[Tuple[int, int], Tuple[int, int]]] = {
-        qid: tuple((h.center.x, h.center.y) for h in q.holes)
-        for qid, q in enumerate(m.qubits)
-    }
+    occupancy = {qid: ((q.anchor.x, q.anchor.y),
+                       (q.anchor.x + q.code_distance, q.anchor.y))
+                 for qid, q in enumerate(m.qubits)}
 
     steps: List[MoveStep] = []
     for qid, q in threatened:
-        x, y = q.holes[0].center.x, q.holes[0].center.y
+        x, y = q.anchor.x, q.anchor.y
         channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units]
         candidates = sorted((math.hypot(x2 - x, y2 - y), y2, x2)
                             for y2 in channels
@@ -139,7 +137,7 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
         # Whether the front overruns the stopover at (x, y2) during the d
         # cycles before the horizontal run leaves it.
         overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
-                                      t_move + d, front) is not None
+                                      t_move + d, event, p) is not None
                    for y2 in channels}
         obstacles = [h for other, hs in occupancy.items() if other != qid
                      for h in hs]
@@ -164,77 +162,64 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
             raise UnescapableError(qid)
 
         x2, y2 = chosen
-        steps.append(MoveStep(qid, 0, "y", (x, y2), t_move, d))
-        steps.append(MoveStep(qid, 1, "y", (x + d, y2), t_move, d))
+        steps.append(MoveStep(qid, 0, (x, y2), t_move))
+        steps.append(MoveStep(qid, 1, (x + d, y2), t_move))
         if x2 != x:
             # Leading hole moves first so it never blocks the trailing one.
             order = (1, 0) if x2 > x else (0, 1)
             for k, hole_index in enumerate(order):
                 hx = x2 + d if hole_index == 1 else x2
-                steps.append(MoveStep(qid, hole_index, "x", (hx, y2),
-                                      t_move + d * (k + 1), d))
+                steps.append(MoveStep(qid, hole_index, (hx, y2),
+                                      t_move + d * (k + 1)))
         occupancy[qid] = ((x2, y2), (x2 + d, y2))
 
     return MovePlan(tuple(steps))
 
 
 def displacement_plan(qubit_id: int, q: LogicalQubit, dx_units: int,
-                      dy_units: int, start_cycle: float,
-                      duration_cycles: int) -> MovePlan:
+                      dy_units: int, start_cycle: float) -> MovePlan:
     """Single-batch plan translating a whole qubit by (dx, dy) lattice units."""
-    steps = []
-    for idx, hole in enumerate(q.holes):
-        target = (hole.center.x + dx_units, hole.center.y + dy_units)
-        axis = "x" if dx_units != 0 else "y"
-        steps.append(MoveStep(qubit_id, idx, axis, target, start_cycle,
-                              duration_cycles))
-    return MovePlan(tuple(steps))
+    return MovePlan(tuple(
+        MoveStep(qubit_id, k, (h.center.x + dx_units, h.center.y + dy_units),
+                 start_cycle)
+        for k, h in enumerate(q.holes)))
 
 
 def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
-    """(start_cycle, qubit-at-target) checkpoints, first entry the origin.
+    """(start_cycle, qubit-at-anchor) checkpoints, first entry the origin.
 
-    A qubit is anchored at a batch's target from the batch's start cycle;
-    a two-batch horizontal run counts as translated from its first batch.
+    Taken in start order, each step implies the qubit's anchor: its target
+    less hole_index * d along x. The qubit holds that anchor from the step's
+    start cycle, so a two-batch horizontal run counts as translated from its
+    first batch.
     """
     d = q.code_distance
-    cur_x, cur_y = q.holes[0].center.x, q.holes[0].center.y
     out = [(-math.inf, q)]
-    batches: Dict[float, List[MoveStep]] = {}
-    for s in plan_steps:
-        batches.setdefault(s.start_cycle, []).append(s)
-    for start in sorted(batches):
-        step = batches[start][0]
-        tx, ty = step.target
-        if step.hole_index == 1:
-            tx -= d
-        new_x, new_y = (cur_x, ty) if step.axis == "y" else (tx, cur_y)
-        if (new_x, new_y) != (cur_x, cur_y):
-            cur_x, cur_y = new_x, new_y
-            out.append((start, q.translated(cur_x - q.holes[0].center.x,
-                                            cur_y - q.holes[0].center.y)))
+    for s in sorted(plan_steps, key=lambda step: step.start_cycle):
+        anchor = LatticePoint(s.target[0] - s.hole_index * d, s.target[1])
+        if anchor != out[-1][1].anchor:
+            out.append((s.start_cycle, LogicalQubit(anchor, d)))
     return out
 
 
 def _span_crossing(q: LogicalQubit, start: float, end: float,
-                   front: PhononFront) -> Optional[float]:
-    """First time the front overwhelms q's string while q is held still
+                   event: CreEvent, p: PhysicalParams) -> Optional[float]:
+    """First time the strike's front overwhelms q's string while q is held
 
-    over [start, end), or None. The radius grows linearly until it
+    still over [start, end), or None. The radius grows linearly until it
     dissipates, so with the string clearance thr the crossing is
     max(start, t0 + thr / mm_per_cycle), provided thr < r_max and that time
     falls inside the span and no later than dissipation. A front that does
     not move crosses nothing.
     """
-    p = front.params
     if p.mm_per_cycle == 0:
         return None
-    thr = string_clearance_mm(q, front.event, p.l_mm)
+    thr = string_clearance_mm(q, event, p.l_mm)
     if thr >= p.r_max_mm:
         return None
-    t0 = front.event.t0_cycles
+    t0 = event.t0_cycles
     t = max(start, t0 + thr / p.mm_per_cycle)
-    return t if t < end and t <= t0 + front.t_dissipate_cycles else None
+    return t if t < end and t <= t0 + p.t_dissipate_cycles else None
 
 
 def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
@@ -245,37 +230,33 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
     by ``_span_crossing``, with the string rule.
     """
     t0 = event.t0_cycles
-    front = PhononFront(event, p)
-    timeline: List[Tuple[float, str, Optional[int], str]] = []
-    timeline.append((t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"))
-    timeline.append((detect(event, p), "detected", None,
-                     f"delta={p.delta_cycles:g}"))
+    timeline: List[Tuple[float, str, Optional[int], str]] = [
+        (t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"),
+        (detect(event, p), "detected", None, f"delta={p.delta_cycles:g}")]
 
     for s in plan.steps:
         timeline.append((s.start_cycle, "move_start", s.qubit_id,
                          f"hole{s.hole_index}->{s.target[0]},{s.target[1]}"))
-        timeline.append((s.start_cycle + s.duration_cycles, "move_complete",
-                         s.qubit_id, f"hole{s.hole_index}"))
+        timeline.append((s.start_cycle + m.qubits[s.qubit_id].code_distance,
+                         "move_complete", s.qubit_id, f"hole{s.hole_index}"))
 
     destroyed_at: Dict[int, float] = {}
     for qid, q in enumerate(m.qubits):
         spans = _positions_over_time(q, plan.steps_for(qid))
         for k, (start, moved) in enumerate(spans):
             end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-            t = _span_crossing(moved, start, end, front)
+            t = _span_crossing(moved, start, end, event, p)
             if t is not None:
                 destroyed_at[qid] = t
                 timeline.append((t, "destroyed", qid,
-                                 f"radius={phonon_radius(front, t):g}mm"))
+                                 f"radius={phonon_radius(event, p, t):g}mm"))
                 break
-    td = front.t_dissipate_cycles
+    td = p.t_dissipate_cycles
     if math.isfinite(td):
         timeline.append((t0 + td, "dissipated", None, f"r_max={p.r_max_mm:g}mm"))
-
+    t_survived = t0 + (td if math.isfinite(td) else 0.0)
     survived = {qid: qid not in destroyed_at for qid in range(len(m.qubits))}
-    for qid, ok in survived.items():
-        if ok:
-            timeline.append((t0 + (td if math.isfinite(td) else 0.0),
-                             "survived", qid, ""))
+    timeline.extend((t_survived, "survived", qid, "")
+                    for qid, ok in survived.items() if ok)
     timeline.sort(key=lambda rec: (rec[0], rec[1], -1 if rec[2] is None else rec[2]))
     return SimOutcome(survived, destroyed_at, tuple(timeline))

@@ -122,7 +122,7 @@ def test_criterion_4_feasibility_matches_simulation():
     def scenario_setup(p, kind):
         """One qubit at the origin, strike ``x0`` beyond its near hole."""
         x0 = 0.0 if kind == AT_HOLE else p.d / 2.0
-        q = LogicalQubit.place(LatticePoint(0, 0), p.d)
+        q = LogicalQubit(LatticePoint(0, 0), p.d)
         shift = int(math.ceil(p.move_displacement_mm / p.l_mm))
         m = single_qubit_mapping(q, p, 2 * p.d + shift + 4, 2 * p.d)
         event = CreEvent(-x0, 0.0, 0.0)
@@ -133,7 +133,7 @@ def test_criterion_4_feasibility_matches_simulation():
         p, kind = instance(
             lambda p, k: check_feasibility(p, StrikeScenario(k)).feasible)
         q, m, event, shift = scenario_setup(p, kind)
-        plan = displacement_plan(0, q, shift, 0, detect(event, p) + 1.0, p.d)
+        plan = displacement_plan(0, q, shift, 0, detect(event, p) + 1.0)
         if not simulate(m, event, p, plan).survived[0]:
             ok = False
         n += 1

@@ -97,6 +97,13 @@ class TestSweepCommands:
         assert code == EXIT_RANGE
         assert not (out / "sweep_r_max.csv").exists()
 
+    def test_inf_sweep_value_is_range_error(self, tmp_path):
+        cfg = write_config(tmp_path, "sweep_values = inf\n")
+        out = tmp_path / "out"
+        code = main(["sweep-l", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert not (out / "sweep_l.csv").exists()
+
     def test_unknown_x0_convention_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "x0_convention = bogus\n")
         code = main(["sweep-l", "--config", str(cfg), "--out", str(tmp_path)])

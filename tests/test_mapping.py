@@ -84,7 +84,7 @@ class TestSerialization:
 
 class TestSingleQubitMapping:
     def test_wraps_explicit_qubit(self):
-        q = LogicalQubit.place(LatticePoint(7, 0), 5)
+        q = LogicalQubit(LatticePoint(7, 0), 5)
         m = single_qubit_mapping(q, params(d=5), 40, 20)
         assert m.qubits == (q,)
         assert m.width_units == 40

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crflight.model import (CreEvent, Hole, LatticePoint, LogicalQubit,
-                            PhononFront, PhysicalParams, phonon_radius,
-                            string_clearance_mm, string_overwhelmed)
+from crflight.model import (CreEvent, LatticePoint, LogicalQubit, PhysicalParams,
+                            phonon_radius, string_clearance_mm,
+                            string_overwhelmed)
 
 
 def params(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
@@ -15,9 +15,10 @@ def params(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
 
 def brute_force_compromised(front, q, t):
     """Independent oracle: point-in-disc test over every string position."""
-    r = phonon_radius(front, t)
-    ex, ey = front.event.x_mm, front.event.y_mm
-    l = front.params.l_mm
+    event, params = front
+    r = phonon_radius(event, params, t)
+    ex, ey = event.x_mm, event.y_mm
+    l = params.l_mm
     n = 0
     for p in q.string_points():
         px, py = p.physical(l)
@@ -44,89 +45,94 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             params(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["l", "v_p", "delta", "t_c", "r_max", "dl"])
+    def test_rejects_inf(self, name):
+        with pytest.raises(ValueError):
+            params(**{name: math.inf})
+
 
 class TestPhononRadius:
     def test_one_cycle_silicon_speed(self):
-        f = PhononFront(CreEvent(0, 0), params())
-        assert phonon_radius(f, 1.0) == pytest.approx(2.5)
+        f = (CreEvent(0, 0), params())
+        assert phonon_radius(*f, 1.0) == pytest.approx(2.5)
 
     def test_zero_elapsed(self):
-        f = PhononFront(CreEvent(0, 0), params())
-        assert phonon_radius(f, 0.0) == 0.0
+        f = (CreEvent(0, 0), params())
+        assert phonon_radius(*f, 0.0) == 0.0
 
     def test_capped_at_r_max(self):
-        f = PhononFront(CreEvent(0, 0), params())
+        f = (CreEvent(0, 0), params())
         # cap reached exactly at dissipation: 63 / 2.5 = 25.2 cycles
-        assert phonon_radius(f, 25.2) == pytest.approx(63.0)
+        assert phonon_radius(*f, 25.2) == pytest.approx(63.0)
 
     def test_dissipated_radius_is_zero(self):
-        f = PhononFront(CreEvent(0, 0), params())
-        assert phonon_radius(f, 100.0) == 0.0
+        f = (CreEvent(0, 0), params())
+        assert phonon_radius(*f, 100.0) == 0.0
 
     def test_rejects_pre_event_time(self):
-        f = PhononFront(CreEvent(0, 0, t0_cycles=5.0), params())
+        f = (CreEvent(0, 0, t0_cycles=5.0), params())
         with pytest.raises(ValueError):
-            phonon_radius(f, 4.0)
+            phonon_radius(*f, 4.0)
 
     def test_zero_speed_never_grows(self):
-        f = PhononFront(CreEvent(0, 0), params(v_p=0.0))
-        assert phonon_radius(f, 1e6) == 0.0
+        f = (CreEvent(0, 0), params(v_p=0.0))
+        assert phonon_radius(*f, 1e6) == 0.0
 
     @given(st.floats(0.0, 25.2), st.floats(0.0, 25.2))
     def test_monotone_while_active(self, t1, t2):
-        f = PhononFront(CreEvent(0, 0), params())
+        f = (CreEvent(0, 0), params())
         if t1 > t2:
             t1, t2 = t2, t1
-        assert phonon_radius(f, t1) <= phonon_radius(f, t2)
+        assert phonon_radius(*f, t1) <= phonon_radius(*f, t2)
 
 
 class TestCompromisedCount:
     """string_overwhelmed (radius > string clearance) against the disc count."""
 
     def test_zero_radius(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), 11)
-        f = PhononFront(CreEvent(5.5, 0.0), params())
+        q = LogicalQubit(LatticePoint(0, 0), 11)
+        f = (CreEvent(5.5, 0.0), params())
         assert brute_force_compromised(f, q, 0.0) == 0
-        assert not string_overwhelmed(f, q, 0.0)
+        assert not string_overwhelmed(*f, q, 0.0)
 
     def test_full_coverage(self):
-        q = LogicalQubit.place(LatticePoint(0, 0), 11)
-        f = PhononFront(CreEvent(5.5, 0.0), params())
+        q = LogicalQubit(LatticePoint(0, 0), 11)
+        f = (CreEvent(5.5, 0.0), params())
         # radius 25 mm at t=10 engulfs the whole 10-qubit string
         assert brute_force_compromised(f, q, 10.0) == 10
-        assert string_overwhelmed(f, q, 10.0)
+        assert string_overwhelmed(*f, q, 10.0)
 
     def test_partial_coverage_matches_oracle(self):
         # epicenter at the string midpoint (5.5 mm), radius 2.6 mm after one
         # cycle; expected value frozen from the brute-force oracle
-        q = LogicalQubit.place(LatticePoint(0, 0), 11)
-        f = PhononFront(CreEvent(5.5, 0.0), params(v_p=2.6))
+        q = LogicalQubit(LatticePoint(0, 0), 11)
+        f = (CreEvent(5.5, 0.0), params(v_p=2.6))
         assert brute_force_compromised(f, q, 1.0) == 6
-        assert not string_overwhelmed(f, q, 1.0)
+        assert not string_overwhelmed(*f, q, 1.0)
 
     @settings(max_examples=200)
     @given(st.integers(2, 30), st.floats(-20, 40), st.floats(-20, 20),
            st.floats(0, 20), st.floats(0.2, 3.0))
     def test_matches_oracle_everywhere(self, d, ex, ey, t, l):
-        q = LogicalQubit.place(LatticePoint(0, 0), d)
-        f = PhononFront(CreEvent(ex, ey), params(l=l, d=d))
-        assert string_overwhelmed(f, q, t) == (
+        q = LogicalQubit(LatticePoint(0, 0), d)
+        f = (CreEvent(ex, ey), params(l=l, d=d))
+        assert string_overwhelmed(*f, q, t) == (
             brute_force_compromised(f, q, t) >= d - 1)
 
     @given(st.integers(2, 20), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_monotone_in_radius(self, d, t1, t2):
-        q = LogicalQubit.place(LatticePoint(0, 0), d)
-        f = PhononFront(CreEvent(d / 2, 0.3), params(d=d, r_max=1e9))
+        q = LogicalQubit(LatticePoint(0, 0), d)
+        f = (CreEvent(d / 2, 0.3), params(d=d, r_max=1e9))
         if t1 > t2:
             t1, t2 = t2, t1
-        assert string_overwhelmed(f, q, t1) <= string_overwhelmed(f, q, t2)
+        assert string_overwhelmed(*f, q, t1) <= string_overwhelmed(*f, q, t2)
 
     @settings(max_examples=300)
     @given(st.integers(2, 40), st.integers(-50, 50), st.integers(-50, 50),
            st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.01, 100.0))
     def test_clearance_is_farthest_string_qubit(self, d, x, y, ex, ey, l):
         # reference: the distance to every one of the d - 1 string qubits
-        q = LogicalQubit.place(LatticePoint(x, y), d)
+        q = LogicalQubit(LatticePoint(x, y), d)
         event = CreEvent(ex, ey)
         assert string_clearance_mm(q, event, l) == max(
             event.distance_mm(pt.physical(l)) for pt in q.string_points())
@@ -135,11 +141,11 @@ class TestCompromisedCount:
 class TestDestruction:
     @given(st.integers(2, 20), st.floats(-10, 30), st.floats(-10, 10))
     def test_no_healing_while_active(self, d, ex, ey):
-        q = LogicalQubit.place(LatticePoint(0, 0), d)
+        q = LogicalQubit(LatticePoint(0, 0), d)
         p = params(d=d, r_max=40.0)
-        f = PhononFront(CreEvent(ex, ey), p)
-        active = [t for t in range(0, int(f.t_dissipate_cycles) + 1)]
-        flags = [string_overwhelmed(f, q, float(t)) for t in active]
+        f = (CreEvent(ex, ey), p)
+        active = [t for t in range(0, int(p.t_dissipate_cycles) + 1)]
+        flags = [string_overwhelmed(*f, q, float(t)) for t in active]
         if True in flags:
             first = flags.index(True)
             assert all(flags[first:])
@@ -159,19 +165,13 @@ class TestGeometryTypes:
     def test_lattice_point_physical(self):
         assert LatticePoint(3, -2).physical(0.5) == (1.5, -1.0)
 
-    def test_qubit_requires_exact_separation(self):
-        holes = (Hole(LatticePoint(0, 0)), Hole(LatticePoint(5, 0)))
-        with pytest.raises(ValueError):
-            LogicalQubit(holes, 4)
-
     def test_string_has_d_minus_1_points(self):
-        q = LogicalQubit.place(LatticePoint(2, 3), 7)
+        q = LogicalQubit(LatticePoint(2, 3), 7)
         pts = q.string_points()
         assert len(pts) == 6
         assert pts[0] == LatticePoint(3, 3)
         assert pts[-1] == LatticePoint(8, 3)
 
     def test_dissipation_time(self):
-        f = PhononFront(CreEvent(0, 0), params())
-        assert f.t_dissipate_cycles == pytest.approx(25.2)
-        assert math.isinf(PhononFront(CreEvent(0, 0), params(v_p=0)).t_dissipate_cycles)
+        assert params().t_dissipate_cycles == pytest.approx(25.2)
+        assert math.isinf(params(v_p=0).t_dissipate_cycles)

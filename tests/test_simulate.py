@@ -1,11 +1,15 @@
+import csv
+import hashlib
+import io
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping, single_qubit_mapping
-from crflight.model import (CreEvent, LatticePoint, LogicalQubit, PhononFront,
+from crflight.model import (CreEvent, LatticePoint, LogicalQubit,
                             PhysicalParams, phonon_radius)
 from crflight.simulate import (MovePlan, UnescapableError, detect,
                                displacement_plan, is_safe_position,
@@ -20,9 +24,10 @@ def params(l=1.0, d=4, v_p=2.5, delta=1.0, t_c=1.0, r_max=6.0, dl=1.0):
 
 def brute_force_compromised(front, q, t):
     """Independent oracle: point-in-disc test over every string position."""
-    r = phonon_radius(front, t)
-    ex, ey = front.event.x_mm, front.event.y_mm
-    l = front.params.l_mm
+    event, params = front
+    r = phonon_radius(event, params, t)
+    ex, ey = event.x_mm, event.y_mm
+    l = params.l_mm
     return sum(math.hypot(px - ex, py - ey) < r
                for px, py in (pt.physical(l) for pt in q.string_points()))
 
@@ -56,8 +61,11 @@ class TestPlanFlight:
         plan = plan_flight(m, event, p)
         steps = plan.steps_for(0)
         assert plan.batch_count(0) == 1
-        assert all(s.axis == "y" for s in steps)
-        assert all(s.duration_cycles == p.d for s in steps)
+        assert [s.target[0] for s in steps] == [h.center.x for h in q.holes]
+        log = csv.DictReader(io.StringIO(
+            simulate(m, event, p, plan).event_log_csv()))
+        cycles = {row["event_kind"]: float(row["cycle"]) for row in log}
+        assert cycles["move_complete"] == cycles["move_start"] + p.d
 
     def test_strike_on_slot_moves_neighbors(self):
         p = params(v_p=0.5, r_max=12.0)
@@ -136,8 +144,7 @@ class TestPlanFlightProperties:
                 assert abs(ax - bx) >= d / 4 or abs(ay - by) >= d / 4
 
         def shape(pl):
-            return [(s.qubit_id, s.hole_index, s.axis, s.target,
-                     s.duration_cycles) for s in pl.steps]
+            return [(s.qubit_id, s.hole_index, s.target) for s in pl.steps]
 
         later = CreEvent(ex, ey, float(t0))
         assert shape(plan_flight(m, later, p)) == shape(plan)
@@ -179,14 +186,27 @@ class TestSimulate:
 
     def test_displacement_plan_translates_whole_qubit(self):
         p = params(d=5, v_p=1.0, r_max=7.0)
-        q = LogicalQubit.place(LatticePoint(0, 0), 5)
+        q = LogicalQubit(LatticePoint(0, 0), 5)
         m = single_qubit_mapping(q, p, 60, 20)
         event = CreEvent(-1.0, 0.0)
         doomed = simulate(m, event, p, MovePlan())
         assert doomed.survived[0] is False
-        plan = displacement_plan(0, q, 8, 0, detect(event, p) + 1, p.d)
+        plan = displacement_plan(0, q, 8, 0, detect(event, p) + 1)
         saved = simulate(m, event, p, plan)
         assert saved.survived[0] is True
+
+    @pytest.mark.parametrize("dx, dy, lost_at", [(3, 2, None),
+                                                 (3, 0, math.sqrt(2))])
+    def test_diagonal_displacement_moves_qubit_to_target(self, dx, dy, lost_at):
+        # A (3, 2) displacement was once simulated at (3, 0), whose string
+        # end qubits lie sqrt(2) mm from the strike: the front took it there
+        # at t = sqrt(2). At (3, 2) the string stays beyond r_max.
+        p = PhysicalParams(1.0, 4, 1.0, 0.0, 1.0, 2.5)
+        q = LogicalQubit(LatticePoint(0, 0), 4)
+        m = single_qubit_mapping(q, p, 40, 20)
+        event = CreEvent(5.0, -1.0)
+        outcome = simulate(m, event, p, displacement_plan(0, q, dx, dy, 1.0))
+        assert outcome.destroyed_at.get(0) == lost_at
 
     def test_no_hole_overlap_during_execution(self):
         p = params(v_p=0.5, r_max=12.0)
@@ -229,10 +249,10 @@ class TestContinuousTime:
         # t = 2.5; sampling at integer cycles misses it (radius 2 at t = 2,
         # and the qubit has moved away by t = 3).
         p = params(d=4, v_p=1.0, delta=1.5, r_max=6.0)
-        q = LogicalQubit.place(LatticePoint(0, 0), 4)
+        q = LogicalQubit(LatticePoint(0, 0), 4)
         m = single_qubit_mapping(q, p, 40, 20)
         event = CreEvent(2.0, 2.0)
-        plan = displacement_plan(0, q, 0, -4, detect(event, p) + 1, p.d)
+        plan = displacement_plan(0, q, 0, -4, detect(event, p) + 1)
         outcome = simulate(m, event, p, plan)
         assert outcome.survived[0] is False
         assert outcome.destroyed_at[0] == pytest.approx(math.sqrt(5))
@@ -251,15 +271,15 @@ class TestContinuousTime:
     def test_matches_disc_count_oracle(self, d, l, v_p, delta, r_max, t0,
                                        ex, ey, axis, shift):
         p = params(l=l, d=d, v_p=v_p, delta=delta, r_max=r_max)
-        q = LogicalQubit.place(LatticePoint(0, 0), d)
+        q = LogicalQubit(LatticePoint(0, 0), d)
         m = single_qubit_mapping(q, p, 40, 40)
         event = CreEvent(ex, ey, t0)
         t_move = detect(event, p) + 1
         dx, dy = (shift, 0) if axis == "x" else (0, shift)
-        plan = displacement_plan(0, q, dx, dy, t_move, d)
+        plan = displacement_plan(0, q, dx, dy, t_move)
         outcome = simulate(m, event, p, plan)
-        front = PhononFront(event, p)
-        t_end = t0 + front.t_dissipate_cycles
+        front = (event, p)
+        t_end = t0 + p.t_dissipate_cycles
 
         def at(t):
             return q if t < t_move else q.translated(dx, dy)
@@ -282,7 +302,7 @@ class TestContinuousTime:
 class TestSafety:
     def test_safe_iff_string_point_clears_r_max(self):
         p = params(d=4, r_max=5.0)
-        q = LogicalQubit.place(LatticePoint(0, 0), 4)
+        q = LogicalQubit(LatticePoint(0, 0), 4)
         near = CreEvent(2.0, 0.0)     # clearance 1 mm < r_max
         far = CreEvent(2.0, 6.0)      # clearance > 6 mm
         assert not is_safe_position(q, near, p)
@@ -302,11 +322,48 @@ class TestModelGap:
         p = PhysicalParams(1.0, 10, 1.0, 5.0, 1.0, 10.0, 5.0)
         for convention in (HALF_D_MM, HALF_SEPARATION):
             assert check_feasibility(p, StrikeScenario(HALFWAY, convention)).feasible
-        q = LogicalQubit.place(LatticePoint(0, 0), p.d)
+        q = LogicalQubit(LatticePoint(0, 0), p.d)
         m = single_qubit_mapping(q, p, 40, 40)
         event = CreEvent(5.0, 0.0)  # the string midpoint
         t_move = detect(event, p) + 1
         assert t_move == 6.0
         outcome = simulate(m, event, p,
-                           displacement_plan(0, q, dx, dy, t_move, p.d))
+                           displacement_plan(0, q, dx, dy, t_move))
         assert outcome.destroyed_at[0] == 4.0
+
+
+class TestFlightDigest:
+    """Pins plan_flight and simulate outputs over 1 000 seeded random strikes.
+
+    The digest covers each plan's steps (qubit_id, hole_index, target,
+    start_cycle), the event log, and the qubit named by UnescapableError. A
+    change that alters any plan or log must update FLIGHT_DIGEST and say so
+    in CHANGES.md. Raw destroyed_at floats are left out, so that a last-ulp
+    difference in math.hypot between Python versions cannot flip it; the log
+    prints them to six significant digits.
+    """
+
+    FLIGHT_DIGEST = ("01012e257d9080c2321f148d6fc5824b"
+                     "1628a389b03d4cbfe3c8e0d1fc984c4d")
+
+    def test_flight_outputs_match_digest(self):
+        rng = random.Random(2024)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            d = rng.randint(2, 9)
+            p = PhysicalParams(rng.choice((0.5, 1.0, 2.0)), d,
+                               rng.choice((0.0, rng.uniform(0.1, 3.0))),
+                               rng.uniform(0.0, 4.0), 1.0, rng.uniform(0.0, 20.0))
+            m = build_mapping(rng.randint(1, 5), rng.randint(1, 5), p)
+            event = CreEvent(rng.uniform(-0.1, 1.1) * m.width_mm,
+                             rng.uniform(-0.1, 1.1) * m.height_mm,
+                             rng.choice((0.0, 0.5, 7.0)))
+            try:
+                plan = plan_flight(m, event, p)
+            except UnescapableError as exc:
+                h.update(f"unescapable {exc.qubit_id}\n".encode())
+                continue
+            h.update(repr([(s.qubit_id, s.hole_index, s.target, s.start_cycle)
+                           for s in plan.steps]).encode())
+            h.update(simulate(m, event, p, plan).event_log_csv().encode())
+        assert h.hexdigest() == self.FLIGHT_DIGEST
