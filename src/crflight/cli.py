@@ -110,6 +110,9 @@ def _run_simulate(cfg, out_dir: Path) -> int:
         print(f"crflight: {exc}; solver minimum d: {needed}; configured d = {p.d}",
               file=sys.stderr)
         return EXIT_UNESCAPABLE
+    if plan.fallback_qubits:
+        log.warning("qubit(s) %s fall back to a channel stopover the front "
+                    "overruns", ", ".join(map(str, plan.fallback_qubits)))
     outcome = simulate(m, event, p, plan)
     (out_dir / "mapping.json").write_text(m.to_json() + "\n")
     (out_dir / "event_log.csv").write_text(outcome.event_log_csv())

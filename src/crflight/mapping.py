@@ -27,6 +27,11 @@ class Mapping:
     width_units: int
     height_units: int
 
+    def __post_init__(self) -> None:
+        if any(q.code_distance != self.params.d for q in self.qubits):
+            raise ValueError("the planner moves holes by params.d, so every "
+                             f"qubit's code_distance must be {self.params.d}")
+
     @property
     def width_mm(self) -> float:
         return self.width_units * self.params.l_mm

@@ -160,9 +160,10 @@ def string_clearance_mm(q: LogicalQubit, event: CreEvent,
     exceeds this. The string is a straight row, so the distance along it
     has no interior maximum and one of the two end qubits is farthest.
     """
-    a, d = q.anchor, q.code_distance
-    return max(event.distance_mm(LatticePoint(a.x + k, a.y).physical(l_mm))
-               for k in (1, d - 1))
+    a = q.anchor
+    ex, dy = event.x_mm, a.y * l_mm - event.y_mm
+    return max(math.hypot((a.x + 1) * l_mm - ex, dy),
+               math.hypot((a.x + q.code_distance - 1) * l_mm - ex, dy))
 
 
 def string_overwhelmed(event: CreEvent, p: PhysicalParams, q: LogicalQubit,

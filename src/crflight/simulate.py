@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +49,8 @@ class MoveStep:
 @dataclass(frozen=True)
 class MovePlan:
     steps: Tuple[MoveStep, ...] = ()
+    # Qubits whose route waits at a channel stopover the front overruns.
+    fallback_qubits: Tuple[int, ...] = ()
 
     def steps_for(self, qubit_id: int) -> Tuple[MoveStep, ...]:
         return tuple(s for s in self.steps if s.qubit_id == qubit_id)
@@ -86,16 +89,20 @@ def is_safe_position(q: LogicalQubit, event: CreEvent,
     return string_clearance_mm(q, event, p.l_mm) >= p.r_max_mm
 
 
-def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int], obstacles,
-                 d: int) -> bool:
+def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int],
+                 rows: Dict[int, List[int]], d: int) -> bool:
     """True iff a hole footprint swept along the axis-aligned leg a -> b
-    overlaps the footprint of any obstacle hole center."""
+    overlaps the footprint of any obstacle hole center. ``rows`` maps each
+    row y to the sorted x's of the obstacle holes in it."""
     s = d * HOLE_SIDE_FRACTION
     x_lo, x_hi = min(a[0], b[0]) - s, max(a[0], b[0]) + s
     y_lo, y_hi = min(a[1], b[1]) - s, max(a[1], b[1]) + s
-    for hx, hy in obstacles:
-        if x_lo < hx < x_hi and y_lo < hy < y_hi:
-            return True
+    for hy in range(math.floor(y_lo) + 1, math.ceil(y_hi)):
+        xs = rows.get(hy)
+        if xs:
+            i = bisect_right(xs, x_lo)
+            if i < len(xs) and xs[i] < x_hi:
+                return True
     return False
 
 
@@ -109,11 +116,13 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     channel stopover the front does not overrun during the d cycles the
     qubit waits there, judged by the simulator's own closed form
     (``_span_crossing``); if every safe route's stopover is overrun, the
-    nearest safe route is the fallback. Raises UnescapableError when a
-    threatened qubit has no safe in-bounds target.
+    nearest safe route is the fallback, listed in ``fallback_qubits``. Ties
+    go to the lower channel, then the lower x. Raises UnescapableError when
+    a threatened qubit has no safe in-bounds target.
     """
     d = p.d
     t_move = detect(event, p) + 1.0
+    x_max = m.width_units - d
 
     threatened = [(qid, q) for qid, q in enumerate(m.qubits)
                   if not is_safe_position(q, event, p)]
@@ -122,58 +131,76 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
             for pt in item[1].all_points()),
         item[0]))
 
-    # Current hole centers; updated with chosen targets as planning proceeds.
-    occupancy = {qid: ((q.anchor.x, q.anchor.y),
-                       (q.anchor.x + q.code_distance, q.anchor.y))
-                 for qid, q in enumerate(m.qubits)}
+    # Current hole centers by row, sorted by x; updated as targets are chosen.
+    rows: Dict[int, List[int]] = {}
+    for q in m.qubits:
+        for hx in (q.anchor.x, q.anchor.x + d):
+            insort(rows.setdefault(q.anchor.y, []), hx)
 
     steps: List[MoveStep] = []
+    fallback_qubits: List[int] = []
     for qid, q in threatened:
         x, y = q.anchor.x, q.anchor.y
+        rows[y].remove(x)
+        rows[y].remove(x + d)
         channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units]
-        candidates = sorted((math.hypot(x2 - x, y2 - y), y2, x2)
-                            for y2 in channels
-                            for x2 in range(0, m.width_units - d + 1))
         # Whether the front overruns the stopover at (x, y2) during the d
         # cycles before the horizontal run leaves it.
         overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
                                       t_move + d, event, p) is not None
                    for y2 in channels}
-        obstacles = [h for other, hs in occupancy.items() if other != qid
-                     for h in hs]
+        # Walk outward: targets k columns from x (k = 0 once) lie hypot(k, d)
+        # away, taken in (y2, x2) order. A swept leg's box only grows with k,
+        # so a blocked leg drops its direction, or its channel if vertical.
+        live = [(y2, sign) for y2 in channels for sign in (-1, 1)]
+        vertical_blocked: Dict[int, bool] = {}
         chosen = fallback = None
-        for _, y2, x2 in candidates:
-            if not is_safe_position(q.translated(x2 - x, y2 - y), event, p):
-                continue
-            if any(_leg_blocked(a, b, obstacles, d) for a, b in (
-                    ((x, y), (x, y2)), ((x + d, y), (x + d, y2)),
-                    ((x, y2), (x2, y2)), ((x + d, y2), (x2 + d, y2)))):
-                continue
-            if fallback is None:
-                fallback = (x2, y2)
-            # Prefer targets the qubit reaches before the front overruns its
-            # stopover in the channel; fall back to the nearest safe target.
-            if not overrun[y2]:
-                chosen = (x2, y2)
-                break
-        if chosen is None:
-            chosen = fallback
+        k = max(0, -x, x - x_max)  # the first k with a target in bounds
+        while live and chosen is None:
+            for dr in list(live):
+                y2, sign = dr
+                x2 = x + sign * k
+                if dr not in live or k == 0 < sign:
+                    continue
+                if not 0 <= x2 <= x_max or fallback and overrun[y2]:
+                    live.remove(dr)  # for good, or no better than the fallback
+                    continue
+                if not is_safe_position(q.translated(x2 - x, y2 - y), event, p):
+                    continue
+                if y2 not in vertical_blocked:
+                    vertical_blocked[y2] = any(
+                        _leg_blocked((hx, y), (hx, y2), rows, d)
+                        for hx in (x, x + d))
+                if vertical_blocked[y2]:
+                    live = [other for other in live if other[0] != y2]
+                elif any(_leg_blocked((hx, y2), (hx + x2 - x, y2), rows, d)
+                         for hx in (x, x + d)):
+                    live.remove(dr)
+                else:
+                    # Prefer a stopover the front does not overrun.
+                    fallback = fallback or (x2, y2)
+                    if not overrun[y2]:
+                        chosen = (x2, y2)
+                        break
+            k += 1
+        chosen = chosen or fallback
         if chosen is None:
             raise UnescapableError(qid)
 
         x2, y2 = chosen
-        steps.append(MoveStep(qid, 0, (x, y2), t_move))
-        steps.append(MoveStep(qid, 1, (x + d, y2), t_move))
+        if overrun[y2]:
+            fallback_qubits.append(qid)
+        steps += [MoveStep(qid, 0, (x, y2), t_move),
+                  MoveStep(qid, 1, (x + d, y2), t_move)]
         if x2 != x:
             # Leading hole moves first so it never blocks the trailing one.
             order = (1, 0) if x2 > x else (0, 1)
-            for k, hole_index in enumerate(order):
-                hx = x2 + d if hole_index == 1 else x2
-                steps.append(MoveStep(qid, hole_index, (hx, y2),
-                                      t_move + d * (k + 1)))
-        occupancy[qid] = ((x2, y2), (x2 + d, y2))
+            steps += [MoveStep(qid, h, (x2 + h * d, y2), t_move + d * (n + 1))
+                      for n, h in enumerate(order)]
+        for hx in (x2, x2 + d):
+            insort(rows.setdefault(y2, []), hx)
 
-    return MovePlan(tuple(steps))
+    return MovePlan(tuple(steps), tuple(fallback_qubits))
 
 
 def displacement_plan(qubit_id: int, q: LogicalQubit, dx_units: int,
@@ -234,15 +261,17 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
         (t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"),
         (detect(event, p), "detected", None, f"delta={p.delta_cycles:g}")]
 
+    steps_by_qubit: Dict[int, List[MoveStep]] = {}
     for s in plan.steps:
         timeline.append((s.start_cycle, "move_start", s.qubit_id,
                          f"hole{s.hole_index}->{s.target[0]},{s.target[1]}"))
         timeline.append((s.start_cycle + m.qubits[s.qubit_id].code_distance,
                          "move_complete", s.qubit_id, f"hole{s.hole_index}"))
+        steps_by_qubit.setdefault(s.qubit_id, []).append(s)
 
     destroyed_at: Dict[int, float] = {}
     for qid, q in enumerate(m.qubits):
-        spans = _positions_over_time(q, plan.steps_for(qid))
+        spans = _positions_over_time(q, steps_by_qubit.get(qid, ()))
         for k, (start, moved) in enumerate(spans):
             end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
             t = _span_crossing(moved, start, end, event, p)

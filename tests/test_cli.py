@@ -146,6 +146,23 @@ class TestSimulateCommand:
         assert log.splitlines()[0] == "cycle,event_kind,qubit_id,detail"
         assert "survived" in log
 
+    def test_fallback_route_logs_warning(self, tmp_path, caplog):
+        # Every safe route from (5, 4) mm waits at a stopover the front
+        # overruns, so qubit 0 takes the nearest one and is lost there.
+        cfg = write_config(tmp_path, "\n".join([
+            "d = 4", "r_max_mm = 5.0", "v_p_mm_per_us = 1.0",
+            "epicenter_x_mm = 5.0", "epicenter_y_mm = 4.0",
+        ]))
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="crflight"):
+            assert main(["simulate", "--config", str(cfg), "--out",
+                         str(out)]) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING"]
+        assert warnings == ["qubit(s) 0 fall back to a channel stopover the "
+                            "front overruns"]
+        assert "destroyed" in (out / "event_log.csv").read_text()
+
     def test_unescapable_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "d = 4\nr_max_mm = 500.0\n")
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])

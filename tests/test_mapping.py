@@ -88,3 +88,10 @@ class TestSingleQubitMapping:
         m = single_qubit_mapping(q, params(d=5), 40, 20)
         assert m.qubits == (q,)
         assert m.width_units == 40
+
+    def test_rejects_qubit_with_other_code_distance(self):
+        # The planner moves each hole by params.d: a d = 5 qubit in a d = 4
+        # mapping once planned hole0 -> (8, 4) and hole1 -> (12, 4), 4 apart.
+        q = LogicalQubit(LatticePoint(8, 8), 5)
+        with pytest.raises(ValueError, match="code_distance must be 4"):
+            single_qubit_mapping(q, params(d=4), 40, 20)

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping, single_qubit_mapping
-from crflight.model import (CreEvent, LatticePoint, LogicalQubit,
-                            PhysicalParams, phonon_radius)
-from crflight.simulate import (MovePlan, UnescapableError, detect,
-                               displacement_plan, is_safe_position,
-                               plan_flight, simulate)
+from crflight.model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint,
+                            LogicalQubit, PhysicalParams, phonon_radius)
+from crflight.simulate import (MovePlan, MoveStep, UnescapableError,
+                               _span_crossing, detect, displacement_plan,
+                               is_safe_position, plan_flight, simulate)
 from crflight.solver import (HALF_D_MM, HALF_SEPARATION, HALFWAY,
                              StrikeScenario, check_feasibility)
 
@@ -78,6 +78,36 @@ class TestPlanFlight:
         assert all(plan.batch_count(qid) <= 3 for qid in plan.qubit_ids())
         outcome = simulate(m, CreEvent(cx, cy), p, plan)
         assert all(outcome.survived.values())
+
+    def test_distance_ties_go_to_lower_channel_then_lower_x(self):
+        # Every target 2 columns from x lies sqrt(20) away. The strike sits
+        # just left of the string midpoint and just below its row, so at
+        # r_max 4.9 the nearest safe targets are x + 2 in the lower channel
+        # and x - 2 in the upper one: the lower channel wins.
+        p = params(v_p=0.0, r_max=4.9)
+        m = single_qubit_mapping(LogicalQubit(LatticePoint(10, 10), 4), p,
+                                 40, 40)
+        plan = plan_flight(m, CreEvent(11.75, 9.75), p)
+        assert [s.target for s in plan.steps] == [(10, 6), (14, 6), (16, 6),
+                                                  (12, 6)]
+
+    def test_fallback_route_is_flagged(self):
+        # Both safe routes from (5, 4) mm wait in the channel at y = 0, which
+        # the front overruns at t = sqrt(20) before the run leaves at t = 6.
+        p = params(v_p=1.0, r_max=5.0)
+        m = build_mapping(1, 1, p)
+        event = CreEvent(5.0, 4.0)
+        plan = plan_flight(m, event, p)
+        assert plan.fallback_qubits == (0,)
+        assert [s.target for s in plan.steps] == [(4, 0), (8, 0), (9, 0),
+                                                  (5, 0)]
+        outcome = simulate(m, event, p, plan)
+        assert outcome.destroyed_at == {0: math.sqrt(20)}
+        # A slower front leaves the stopover clear: no fallback.
+        slow = params(v_p=0.5, r_max=5.0)
+        plan = plan_flight(m, event, slow)
+        assert plan.steps and plan.fallback_qubits == ()
+        assert simulate(m, event, slow, plan).destroyed_at == {}
 
     def test_unescapable_when_storm_covers_frame(self):
         p = params(r_max=500.0)
@@ -367,3 +397,107 @@ class TestFlightDigest:
                            for s in plan.steps]).encode())
             h.update(simulate(m, event, p, plan).event_log_csv().encode())
         assert h.hexdigest() == self.FLIGHT_DIGEST
+
+
+def reference_plan_flight(m, event, p):
+    """Independent oracle: the sort-and-scan planner, before plan_flight
+    indexed its obstacles and pruned its walk. It sorts every candidate
+    target by (distance, y2, x2) and tests each leg against every other hole.
+    """
+    d = p.d
+    t_move = detect(event, p) + 1.0
+
+    def leg_blocked(a, b, obstacles):
+        s = d * HOLE_SIDE_FRACTION
+        x_lo, x_hi = min(a[0], b[0]) - s, max(a[0], b[0]) + s
+        y_lo, y_hi = min(a[1], b[1]) - s, max(a[1], b[1]) + s
+        return any(x_lo < hx < x_hi and y_lo < hy < y_hi
+                   for hx, hy in obstacles)
+
+    threatened = [(qid, q) for qid, q in enumerate(m.qubits)
+                  if not is_safe_position(q, event, p)]
+    threatened.sort(key=lambda item: (
+        min(event.distance_mm(pt.physical(p.l_mm))
+            for pt in item[1].all_points()),
+        item[0]))
+    occupancy = {qid: ((q.anchor.x, q.anchor.y), (q.anchor.x + d, q.anchor.y))
+                 for qid, q in enumerate(m.qubits)}
+    steps, fallback_qubits = [], []
+    for qid, q in threatened:
+        x, y = q.anchor.x, q.anchor.y
+        channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units]
+        candidates = sorted((math.hypot(x2 - x, y2 - y), y2, x2)
+                            for y2 in channels
+                            for x2 in range(0, m.width_units - d + 1))
+        overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
+                                      t_move + d, event, p) is not None
+                   for y2 in channels}
+        obstacles = [h for other, hs in occupancy.items() if other != qid
+                     for h in hs]
+        chosen = fallback = None
+        for _, y2, x2 in candidates:
+            if not is_safe_position(q.translated(x2 - x, y2 - y), event, p):
+                continue
+            if any(leg_blocked(a, b, obstacles) for a, b in (
+                    ((x, y), (x, y2)), ((x + d, y), (x + d, y2)),
+                    ((x, y2), (x2, y2)), ((x + d, y2), (x2 + d, y2)))):
+                continue
+            if fallback is None:
+                fallback = (x2, y2)
+            if not overrun[y2]:
+                chosen = (x2, y2)
+                break
+        if chosen is None:
+            chosen = fallback
+        if chosen is None:
+            raise UnescapableError(qid)
+        x2, y2 = chosen
+        if overrun[y2]:
+            fallback_qubits.append(qid)
+        steps += [MoveStep(qid, 0, (x, y2), t_move),
+                  MoveStep(qid, 1, (x + d, y2), t_move)]
+        if x2 != x:
+            order = (1, 0) if x2 > x else (0, 1)
+            for k, hole_index in enumerate(order):
+                hx = x2 + d if hole_index == 1 else x2
+                steps.append(MoveStep(qid, hole_index, (hx, y2),
+                                      t_move + d * (k + 1)))
+        occupancy[qid] = ((x2, y2), (x2 + d, y2))
+    return MovePlan(tuple(steps), tuple(fallback_qubits))
+
+
+class TestReferencePlanner:
+    """plan_flight against the sort-and-scan oracle on large mappings, where
+    blocked legs, overrun channels and long outward walks are common."""
+
+    def test_matches_reference_on_large_mappings(self):
+        rng = random.Random(8)
+        mappings = {}
+        outcomes = []
+        for _ in range(60):
+            v_p, r_max = rng.choice(((2.5, 10.0), (0.05, 10.0),
+                                     (0.05, rng.uniform(4.0, 24.0))))
+            d = rng.choice((3, 4, 4, 5))
+            n = rng.randint(6, 16)
+            if (n, d) not in mappings:
+                mappings[n, d] = build_mapping(n, n, params(d=d))
+            m = mappings[n, d]
+            p = params(d=d, v_p=v_p, delta=rng.uniform(1.05, 1.95),
+                       r_max=r_max)
+            event = CreEvent(rng.uniform(0.0, m.width_mm),
+                             rng.uniform(0.0, m.height_mm),
+                             rng.choice((0.0, 7.0)))
+            results = []
+            for planner in (plan_flight, reference_plan_flight):
+                try:
+                    results.append(planner(m, event, p))
+                except UnescapableError as exc:
+                    results.append(exc.qubit_id)
+            assert results[0] == results[1], (n, d, p, event)
+            outcomes.append(results[0])
+        # The draw covers all three outcomes.
+        assert any(isinstance(o, int) for o in outcomes)
+        assert any(isinstance(o, MovePlan) and o.fallback_qubits
+                   for o in outcomes)
+        assert any(isinstance(o, MovePlan) and len(o.steps) > 20
+                   for o in outcomes)
