@@ -75,18 +75,23 @@ def _default_sweep_values(name, cfg):
     return values
 
 
+def _write_sweeps(out_dir: Path, subcommand: str, cfg, results) -> int:
+    for out_name, result in results.items():
+        out_path = out_dir / out_name
+        with out_path.open("w", newline="") as fh:
+            solver.write_sweep_csv(result, fh)
+        log.info("wrote %s (%d rows)", out_path, len(result.rows))
+    _write_manifest(out_dir, subcommand, cfg, list(results))
+    return EXIT_OK
+
+
 def _run_sweep(subcommand: str, cfg, out_dir: Path) -> int:
     name = SWEEP_SUBCOMMANDS[subcommand]
     result = solver.sweep(name, _default_sweep_values(name, cfg),
                           _physical_params(cfg), scenarios=_scenarios(cfg),
                           x0_convention=cfg["x0_convention"],
                           d_max=cfg["d_max"])
-    out_path = out_dir / f"sweep_{name}.csv"
-    with out_path.open("w", newline="") as fh:
-        solver.write_sweep_csv(result, fh)
-    _write_manifest(out_dir, subcommand, cfg, [out_path.name])
-    log.info("wrote %s (%d rows)", out_path, len(result.rows))
-    return EXIT_OK
+    return _write_sweeps(out_dir, subcommand, cfg, {f"sweep_{name}.csv": result})
 
 
 def _run_simulate(cfg, out_dir: Path) -> int:
@@ -103,10 +108,10 @@ def _run_simulate(cfg, out_dir: Path) -> int:
         plan = plan_flight(m, event, p)
     except UnescapableError as exc:
         # The usual cause is a d below the solver's answer, so name that.
-        rows = solver.point_rows(p.d, p, _scenarios(cfg), cfg["x0_convention"],
-                                 cfg["d_max"])
-        needed = ", ".join(f"{r.min_d or 'none up to d_max'} ({r.scenario})"
-                           for r in rows)
+        needed = ", ".join(
+            f"{solver.min_code_distance(p, s, cfg['d_max']) or 'none up to d_max'}"
+            f" ({s.kind})" for s in (solver.StrikeScenario(kind, cfg["x0_convention"])
+                                     for kind in _scenarios(cfg)))
         print(f"crflight: {exc}; solver minimum d: {needed}; configured d = {p.d}",
               file=sys.stderr)
         return EXIT_UNESCAPABLE
@@ -155,26 +160,18 @@ def _run_replicate_paper(cfg, out_dir: Path) -> int:
     results = {}  # artifact name -> sweep
     base = _physical_params(cfg)
     for name in ("l", "r_max", "delta"):
-        if name == "delta":
-            values = [float(v) for v in range(1, 26)]
-        else:
-            values = _default_sweep_values(name, cfg)
-        rows = []
-        for v in sorted(values):
+        values = ([float(v) for v in range(1, 26)] if name == "delta"
+                  else _default_sweep_values(name, cfg))
+        points = []
+        for v in sorted(values):  # the draws follow the value order
             delta = float(rng.uniform(1.0, 25.0)) if name != "delta" else v
             dl = float(rng.uniform(1.0, 1e6))
-            p = replace(base, **{"delta_cycles": delta, "move_displacement_mm": dl,
-                                 solver.SWEEP_FIELDS[name]: v})
-            rows.extend(solver.point_rows(v, p, _scenarios(cfg),
-                                          cfg["x0_convention"], cfg["d_max"]))
-        results[f"replicate_{name}.csv"] = solver.SweepResult(
-            name, solver.SWEEP_PARAMS[name], tuple(rows))
+            points.append((v, replace(base, delta_cycles=delta,
+                                      move_displacement_mm=dl)))
+        results[f"replicate_{name}.csv"] = solver.sweep_points(
+            name, points, _scenarios(cfg), cfg["x0_convention"], cfg["d_max"])
     # Written only once every sweep is solved: an error leaves no artifact.
-    for out_name, result in results.items():
-        with (out_dir / out_name).open("w", newline="") as fh:
-            solver.write_sweep_csv(result, fh)
-    _write_manifest(out_dir, "replicate-paper", cfg, list(results))
-    return EXIT_OK
+    return _write_sweeps(out_dir, "replicate-paper", cfg, results)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -138,6 +138,8 @@ def monte_carlo_failure(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if predicate not in (ANALYTIC_PREDICATE, SIMULATOR_PREDICATE):
         raise ValueError(f"unknown predicate {predicate!r}")
+    if predicate == SIMULATOR_PREDICATE and r.d != m.params.d:
+        raise ValueError(f"simulator mode needs r.d = {m.params.d}, got {r.d}")
     failed = _trial_failures(m, p, r, n_trials, seed, predicate)
     estimate = int(np.count_nonzero(failed)) / n_trials
     halfwidth = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n_trials)

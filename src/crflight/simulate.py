@@ -118,8 +118,11 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     (``_span_crossing``); if every safe route's stopover is overrun, the
     nearest safe route is the fallback, listed in ``fallback_qubits``. Ties
     go to the lower channel, then the lower x. Raises UnescapableError when
-    a threatened qubit has no safe in-bounds target.
+    a threatened qubit has no safe in-bounds target, and ValueError when p's
+    d or l_mm is not the mapping's.
     """
+    if (p.d, p.l_mm) != (m.params.d, m.params.l_mm):
+        raise ValueError(f"p has d = {p.d}, l_mm = {p.l_mm}; the mapping's differ")
     d = p.d
     t_move = detect(event, p) + 1.0
     x_max = m.width_units - d

@@ -30,7 +30,6 @@ SCENARIOS = (HALFWAY, AT_HOLE)
 HALF_D_MM = "half_d_mm"
 HALF_SEPARATION = "half_separation"
 
-SWEEP_PARAMS = {"l": "mm", "r_max": "mm", "delta": "cycles"}
 # PhysicalParams field each sweep parameter sets
 SWEEP_FIELDS = {"l": "l_mm", "r_max": "r_max_mm", "delta": "delta_cycles"}
 
@@ -114,36 +113,34 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     parameter: str
-    unit: str
     rows: Tuple[SweepRow, ...] = field(default_factory=tuple)
 
 
-def point_rows(value: float, p: PhysicalParams, scenarios: Sequence[str],
-               x0_convention: str, d_max: int) -> List[SweepRow]:
-    """One sweep row per scenario for the parameter point ``p``."""
-    return [SweepRow(value, kind,
-                     min_code_distance(p, StrikeScenario(kind, x0_convention),
-                                       d_max))
-            for kind in scenarios]
+def sweep_points(parameter: str, points: Iterable[Tuple[float, PhysicalParams]],
+                 scenarios: Sequence[str], x0_convention: str,
+                 d_max: int) -> SweepResult:
+    """Minimum d per (value, scenario) over (value, params) points, in value order."""
+    if parameter not in SWEEP_FIELDS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    points = sorted(points, key=lambda point: point[0])
+    if not points:
+        raise ValueError("sweep range is empty")
+    if any(not v > 0 for v, _ in points):
+        raise ValueError("sweep values must be positive")
+    rows: List[SweepRow] = []
+    for v, p in points:
+        p = replace(p, **{SWEEP_FIELDS[parameter]: v})
+        rows.extend(SweepRow(v, kind, min_code_distance(
+            p, StrikeScenario(kind, x0_convention), d_max)) for kind in scenarios)
+    return SweepResult(parameter, tuple(rows))
 
 
 def sweep(parameter: str, values: Sequence[float], fixed: PhysicalParams,
-          scenarios: Sequence[str] = SCENARIOS,
-          x0_convention: str = HALF_D_MM,
+          scenarios: Sequence[str] = SCENARIOS, x0_convention: str = HALF_D_MM,
           d_max: int = DEFAULT_D_MAX) -> SweepResult:
-    """Minimum code distance per (parameter value, scenario)."""
-    if parameter not in SWEEP_PARAMS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-    values = list(values)
-    if not values:
-        raise ValueError("sweep range is empty")
-    if any(not v > 0 for v in values):
-        raise ValueError("sweep values must be positive")
-    rows: List[SweepRow] = []
-    for v in sorted(values):
-        p = replace(fixed, **{SWEEP_FIELDS[parameter]: v})
-        rows.extend(point_rows(v, p, scenarios, x0_convention, d_max))
-    return SweepResult(parameter, SWEEP_PARAMS[parameter], tuple(rows))
+    """Minimum code distance per (parameter value, scenario) around ``fixed``."""
+    return sweep_points(parameter, [(v, fixed) for v in values], scenarios,
+                        x0_convention, d_max)
 
 
 SWEEP_CSV_HEADER = ["param", "value", "scenario", "min_d", "feasible"]
@@ -172,6 +169,7 @@ def read_sweep_csv(inp: Iterable[str]) -> SweepResult:
         parameter = rec[0]
         min_d = None if rec[3] == INFEASIBLE else int(rec[3])
         rows.append(SweepRow(float(rec[1]), rec[2], min_d))
-    if parameter is None:
-        raise ValueError("sweep CSV has no data rows")
-    return SweepResult(parameter, SWEEP_PARAMS[parameter], tuple(rows))
+    if parameter not in SWEEP_FIELDS:
+        raise ValueError("sweep CSV has no data rows" if parameter is None
+                         else f"unknown sweep parameter {parameter!r}")
+    return SweepResult(parameter, tuple(rows))

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import math
 
@@ -222,14 +225,14 @@ class TestReliabilityCommand:
 class TestReplicateCommand:
     def test_error_in_later_sweep_leaves_no_csv(self, tmp_path, monkeypatch):
         # fail the r_max sweep, the second of three
-        point_rows = solver.point_rows
+        min_code_distance = solver.min_code_distance
 
-        def failing(value, p, *args):
+        def failing(p, *args):
             if p.r_max_mm < 3:
                 raise ValueError("injected")
-            return point_rows(value, p, *args)
+            return min_code_distance(p, *args)
 
-        monkeypatch.setattr(solver, "point_rows", failing)
+        monkeypatch.setattr(solver, "min_code_distance", failing)
         cfg = write_config(tmp_path, "sweep_values = 1, 2\n")
         out = tmp_path / "out"
         code = main(["replicate-paper", "--config", str(cfg), "--out", str(out)])
@@ -252,3 +255,56 @@ class TestReplicateCommand:
         texts_c = [(out_c / n).read_text() for n in
                    ("replicate_l.csv", "replicate_r_max.csv")]
         assert texts_a != texts_c
+
+    def test_empty_sweep_list_is_range_error(self, tmp_path):
+        cfg = write_config(tmp_path, "sweep_values = ,\n")
+        out = tmp_path / "out"
+        code = main(["replicate-paper", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert list(out.iterdir()) == []
+
+
+def _rounded_csv(text):
+    """reliability.csv with each float to ten significant digits: its tau
+    grid comes from numpy's power, whose last ulp can depend on the CPU."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return "".join(",".join(f"{float(v):.10g}" for v in row) + "\n"
+                   for row in rows[1:])
+
+
+class TestCliDigest:
+    """Pins every subcommand's exit code, stderr and artifacts.
+
+    Each of the six subcommands runs at the documented defaults and at one
+    ``sweep_values`` config whose ``simulate`` succeeds; its list is out of
+    order, so replicate-paper's random draws must follow the sorted values.
+    The digest covers the exit code, stderr and every file written, byte for
+    byte except the float columns of reliability.csv (see ``_rounded_csv``).
+    A change that alters any of them must update CLI_DIGEST and say so in
+    CHANGES.md.
+    """
+
+    CLI_DIGEST = ("f8c1a98e712427a9355ffaa10c7d65f1"
+                  "830b067bef5b7fe8b0c812df3c23bb83")
+    CONFIGS = ("", "\n".join([
+        "d = 4", "rows = 2", "cols = 2", "r_max_mm = 6.0",
+        "v_p_mm_per_us = 0.5", "sweep_values = 50, 1, 10", "d_max = 200",
+        "seed = 5", "tau_points = 5", "n_trials = 500", ""]))
+    SUBCOMMANDS = ("sweep-l", "sweep-rmax", "sweep-delta", "simulate",
+                   "reliability", "replicate-paper")
+
+    def test_cli_outputs_match_digest(self, tmp_path, capsys):
+        h = hashlib.sha256()
+        for i, text in enumerate(self.CONFIGS):
+            cfg = write_config(tmp_path, text)
+            for sub in self.SUBCOMMANDS:
+                out = tmp_path / f"{i}-{sub}"
+                code = main([sub, "--config", str(cfg), "--out", str(out)])
+                h.update(f"{i} {sub} exit {code}\n".encode())
+                h.update(capsys.readouterr().err.encode())
+                for path in sorted(out.iterdir()):
+                    body = path.read_text()
+                    if path.name == "reliability.csv":
+                        body = _rounded_csv(body)
+                    h.update(f"{path.name}\n{body}".encode())
+        assert h.hexdigest() == self.CLI_DIGEST

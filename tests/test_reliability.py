@@ -146,6 +146,18 @@ class TestMonteCarlo:
             assert short.dtype == bool and short.shape == (500,)
             assert np.array_equal(lng[:500], short)
 
+    def test_simulator_mode_rejects_other_code_distance(self):
+        # Strikes are counted against r.d but the simulated qubits have the
+        # mapping's d: on this d = 4 chip r.d = 4 gave 0.08 and r.d = 12 gave 0.0.
+        p = PhysicalParams(1.0, 4, 0.5, 1.0, 1.0, 6.0)
+        m = build_mapping(2, 2, p)
+        r = ReliabilityParams(1.0, 1.0, 12)
+        with pytest.raises(ValueError, match="simulator mode needs r.d = 4"):
+            monte_carlo_failure(m, p, r, 400, seed=1, predicate="simulator")
+        # analytic mode samples its own reference frame, so any r.d is fine
+        est, _ = monte_carlo_failure(m, p, r, 400, seed=1)
+        assert 0.0 < est < 1.0
+
     @given(st.integers(0, 2 ** 32), st.integers(2, 12),
            st.floats(0.0, 15.0), st.floats(0.1, 3.0))
     def test_analytic_mode_matches_trial_loop(self, seed, d, mean, l_mm):

@@ -44,6 +44,19 @@ class TestDetect:
 
 
 class TestPlanFlight:
+    @pytest.mark.parametrize("m, p", [
+        (single_qubit_mapping(LogicalQubit(LatticePoint(8, 8), 5), params(d=5),
+                              40, 20), params(d=4)),
+        (build_mapping(2, 2, params(d=5)), params(d=4)),
+        (build_mapping(2, 2, params()), params(l=0.5)),
+    ], ids=["single-qubit-d", "2x2-d", "2x2-l"])
+    def test_rejects_params_of_another_mapping(self, m, p):
+        # Holes move by p.d on the mapping's lattice: with p.d = 4 the d = 5
+        # single qubit was planned hole0 -> (8, 4), hole1 -> (12, 4), and the
+        # d = 5 2x2 chip was sent to row y = 1, which is not a channel.
+        with pytest.raises(ValueError, match="the mapping's differ"):
+            plan_flight(m, CreEvent(10.0, 8.0), p)
+
     def test_distant_strike_gives_empty_plan(self):
         m = build_mapping(2, 2, params())
         event = CreEvent(-100.0, -100.0)
