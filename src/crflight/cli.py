@@ -43,6 +43,10 @@ log = logging.getLogger("crflight")
 # Sweep subcommand -> swept parameter
 SWEEP_SUBCOMMANDS = {"sweep-l": "l", "sweep-rmax": "r_max", "sweep-delta": "delta"}
 
+# Swept parameter -> (start, stop) of its unit-step grid when none is configured
+DEFAULT_SWEEP_RANGES = {"l": (1.0, 60.0), "r_max": (1.0, 100.0),
+                        "delta": (1.0, 25.0)}
+
 
 def _physical_params(cfg) -> PhysicalParams:
     return PhysicalParams(cfg["l_mm"], cfg["d"], cfg["v_p_mm_per_us"],
@@ -66,13 +70,14 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg, outputs) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _default_grid(name):
+    start, stop = DEFAULT_SWEEP_RANGES[name]
+    return [start + i for i in range(int(stop - start) + 1)]
+
+
 def _default_sweep_values(name, cfg):
-    defaults = {"l": (1.0, 60.0), "r_max": (1.0, 100.0), "delta": (1.0, 25.0)}
     values = sweep_values_from(cfg)
-    if values is None:
-        start, stop = defaults[name]
-        values = [start + i for i in range(int(stop - start) + 1)]
-    return values
+    return _default_grid(name) if values is None else values
 
 
 def _write_sweeps(out_dir: Path, subcommand: str, cfg, results) -> int:
@@ -130,8 +135,10 @@ def _run_simulate(cfg, out_dir: Path) -> int:
 
 def _run_reliability(cfg, out_dir: Path) -> int:
     tau_min, tau_max = cfg["tau_s_min"], cfg["tau_s_max"]
-    if cfg["tau_points"] < 1 or not tau_min > 0 or not tau_max >= tau_min:
-        raise ValueError("tau grid requires 0 < tau_s_min <= tau_s_max, points >= 1")
+    # One chain, so that NaN and inf fail here and not inside np.logspace.
+    if cfg["tau_points"] < 1 or not 0 < tau_min <= tau_max < math.inf:
+        raise ValueError("tau grid requires 0 < tau_s_min <= tau_s_max < inf, "
+                         "points >= 1")
     p = _physical_params(cfg)
     m = build_mapping(cfg["rows"], cfg["cols"], p)
     taus = np.logspace(math.log10(tau_min), math.log10(tau_max), cfg["tau_points"])
@@ -160,7 +167,7 @@ def _run_replicate_paper(cfg, out_dir: Path) -> int:
     results = {}  # artifact name -> sweep
     base = _physical_params(cfg)
     for name in ("l", "r_max", "delta"):
-        values = ([float(v) for v in range(1, 26)] if name == "delta"
+        values = (_default_grid(name) if name == "delta"
                   else _default_sweep_values(name, cfg))
         points = []
         for v in sorted(values):  # the draws follow the value order

@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .solver import HALF_D_MM, HALF_SEPARATION, SCENARIOS
+from .solver import DEFAULT_D_MAX, HALF_D_MM, HALF_SEPARATION, SCENARIOS
 
 
 class ConfigError(Exception):
@@ -29,8 +29,8 @@ KNOWN_KEYS = {
     "r_max_mm": (float, 63.0),
     "move_displacement_mm": (float, 1.0),
     "d": (int, 11),
-    "d_max": (int, 500),
-    "x0_convention": (str, "half_d_mm"),
+    "d_max": (int, DEFAULT_D_MAX),
+    "x0_convention": (str, HALF_D_MM),
     "scenario": (str, "both"),           # halfway | at_hole | both
     "sweep_start": (float, None),
     "sweep_stop": (float, None),

@@ -23,7 +23,6 @@ class Mapping:
     cols: int
     params: PhysicalParams
     qubits: Tuple[LogicalQubit, ...]
-    channel_ys: Tuple[int, ...]  # hole-free horizontal center lines
     width_units: int
     height_units: int
 
@@ -40,8 +39,13 @@ class Mapping:
     def height_mm(self) -> float:
         return self.height_units * self.params.l_mm
 
-    def slot_of(self, qubit_id: int) -> Tuple[int, int]:
-        return divmod(qubit_id, self.cols)
+    @property
+    def channel_ys(self) -> Tuple[int, ...]:
+        """The planner's escape rows: each qubit's y - d and y + d in bounds."""
+        d = self.params.d
+        return tuple(sorted({y2 for q in self.qubits
+                             for y2 in (q.anchor.y - d, q.anchor.y + d)
+                             if 0 <= y2 <= self.height_units}))
 
     def to_json(self) -> str:
         doc = {
@@ -65,12 +69,6 @@ class Mapping:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def single_qubit_mapping(q: LogicalQubit, p: PhysicalParams,
-                         width_units: int, height_units: int) -> Mapping:
-    """Wrap one explicitly placed qubit for use with the simulator."""
-    return Mapping(1, 1, p, (q,), (), width_units, height_units)
-
-
 def build_mapping(rows: int, cols: int, p: PhysicalParams) -> Mapping:
     """Tile the unit cell into a rows-by-cols grid of logical qubits."""
     if rows < 1 or cols < 1:
@@ -83,7 +81,4 @@ def build_mapping(rows: int, cols: int, p: PhysicalParams) -> Mapping:
         for j in range(cols):
             x = d + pitch * j
             qubits.append(LogicalQubit(LatticePoint(x, y), d))
-    width = pitch * cols + d
-    height = pitch * rows
-    channel_ys = tuple(pitch * i for i in range(rows + 1))
-    return Mapping(rows, cols, p, tuple(qubits), channel_ys, width, height)
+    return Mapping(rows, cols, p, tuple(qubits), pitch * cols + d, pitch * rows)

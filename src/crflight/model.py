@@ -116,10 +116,6 @@ class LogicalQubit:
         return tuple(LatticePoint(a.x + k, a.y)
                      for k in range(self.code_distance + 1))
 
-    def string_points(self) -> Tuple[LatticePoint, ...]:
-        """The d - 1 data qubits of the inter-hole operator string."""
-        return self.all_points()[1:-1]
-
     def translated(self, dx: int, dy: int) -> "LogicalQubit":
         return LogicalQubit(self.anchor.translated(dx, dy), self.code_distance)
 

@@ -52,12 +52,10 @@ class MovePlan:
     # Qubits whose route waits at a channel stopover the front overruns.
     fallback_qubits: Tuple[int, ...] = ()
 
-    def steps_for(self, qubit_id: int) -> Tuple[MoveStep, ...]:
-        return tuple(s for s in self.steps if s.qubit_id == qubit_id)
-
     def batch_count(self, qubit_id: int) -> int:
         """Sequential move batches; simultaneous hole moves count once."""
-        return len({s.start_cycle for s in self.steps_for(qubit_id)})
+        return len({s.start_cycle for s in self.steps
+                    if s.qubit_id == qubit_id})
 
     def qubit_ids(self) -> Tuple[int, ...]:
         return tuple(sorted({s.qubit_id for s in self.steps}))

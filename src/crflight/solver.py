@@ -55,13 +55,6 @@ class StrikeScenario:
         return p.d * p.l_mm / 2.0
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    cond1: bool
-    cond2: bool
-    feasible: bool
-
-
 def _front_at_move_start_mm(p: PhysicalParams) -> float:
     return p.mm_per_cycle * (p.delta_cycles + 1.0)
 
@@ -78,10 +71,9 @@ def check_condition2(p: PhysicalParams, s: StrikeScenario) -> bool:
     return p.r_max_mm < (s.x0_mm(p) - r) + p.move_displacement_mm + p.l_mm * (p.d - 1)
 
 
-def check_feasibility(p: PhysicalParams, s: StrikeScenario) -> FeasibilityVerdict:
-    c1 = check_condition1(p, s)
-    c2 = check_condition2(p, s)
-    return FeasibilityVerdict(c1, c2, c1 and c2)
+def check_feasibility(p: PhysicalParams, s: StrikeScenario) -> bool:
+    """Both survival conditions hold."""
+    return check_condition1(p, s) and check_condition2(p, s)
 
 
 def min_code_distance(p: PhysicalParams, s: StrikeScenario,
@@ -94,7 +86,7 @@ def min_code_distance(p: PhysicalParams, s: StrikeScenario,
     if d_max < 2:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     for d in range(2, d_max + 1):
-        if check_feasibility(p.with_d(d), s).feasible:
+        if check_feasibility(p.with_d(d), s):
             return d
     return None
 
@@ -104,10 +96,6 @@ class SweepRow:
     value: float
     scenario: str
     min_d: Optional[int]
-
-    @property
-    def feasible(self) -> bool:
-        return self.min_d is not None
 
 
 @dataclass(frozen=True)
@@ -152,10 +140,9 @@ def write_sweep_csv(result: SweepResult, out: TextIO) -> None:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(SWEEP_CSV_HEADER)
     for r in result.rows:
-        w.writerow([result.parameter, repr(float(r.value)),
-                    r.scenario,
-                    r.min_d if r.min_d is not None else INFEASIBLE,
-                    str(r.feasible).lower()])
+        found = r.min_d is not None
+        w.writerow([result.parameter, repr(float(r.value)), r.scenario,
+                    r.min_d if found else INFEASIBLE, str(found).lower()])
 
 
 def read_sweep_csv(inp: Iterable[str]) -> SweepResult:

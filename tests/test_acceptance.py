@@ -11,14 +11,15 @@ import time
 import mpmath
 import numpy as np
 
-from crflight.mapping import build_mapping, single_qubit_mapping
+from crflight.mapping import Mapping, build_mapping
 from crflight.model import CreEvent, LatticePoint, LogicalQubit, PhysicalParams
 from crflight.reliability import (ReliabilityParams, failure_probability,
                                   monte_carlo_failure, p_few_hits)
 from crflight.simulate import (MovePlan, UnescapableError, detect,
                                displacement_plan, plan_flight, simulate)
 from crflight.solver import (AT_HOLE, HALFWAY, StrikeScenario,
-                             check_feasibility, min_code_distance, sweep)
+                             check_condition1, check_feasibility,
+                             min_code_distance, sweep)
 
 
 def canonical(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
@@ -124,14 +125,14 @@ def test_criterion_4_feasibility_matches_simulation():
         x0 = 0.0 if kind == AT_HOLE else p.d / 2.0
         q = LogicalQubit(LatticePoint(0, 0), p.d)
         shift = int(math.ceil(p.move_displacement_mm / p.l_mm))
-        m = single_qubit_mapping(q, p, 2 * p.d + shift + 4, 2 * p.d)
+        m = Mapping(1, 1, p, (q,), 2 * p.d + shift + 4, 2 * p.d)
         event = CreEvent(-x0, 0.0, 0.0)
         return q, m, event, shift
 
     n = 0
     while n < 1000:
         p, kind = instance(
-            lambda p, k: check_feasibility(p, StrikeScenario(k)).feasible)
+            lambda p, k: check_feasibility(p, StrikeScenario(k)))
         q, m, event, shift = scenario_setup(p, kind)
         plan = displacement_plan(0, q, shift, 0, detect(event, p) + 1.0)
         if not simulate(m, event, p, plan).survived[0]:
@@ -142,8 +143,8 @@ def test_criterion_4_feasibility_matches_simulation():
     while n < 200:
         def doomed(p, k):
             x0 = 0.0 if k == AT_HOLE else p.d / 2.0
-            v = check_feasibility(p, StrikeScenario(k))
-            return (not v.cond1 and p.v_p_mm_per_us > 0
+            return (not check_condition1(p, StrikeScenario(k))
+                    and p.v_p_mm_per_us > 0
                     and p.r_max_mm > x0 + p.l_mm * (p.d - 1))
         p, kind = instance(doomed)
         q, m, event, _ = scenario_setup(p, kind)

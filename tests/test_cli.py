@@ -213,7 +213,7 @@ class TestReliabilityCommand:
         assert code == EXIT_RANGE
 
     @pytest.mark.parametrize("line", ["n_trials = 0", "tau_s_min = nan",
-                                      "lambda_per_s = nan"])
+                                      "lambda_per_s = nan", "tau_s_max = inf"])
     def test_range_error_leaves_no_csv(self, tmp_path, line):
         cfg = write_config(tmp_path, line + "\ntau_points = 3\n")
         out = tmp_path / "out"

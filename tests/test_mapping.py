@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crflight.mapping import build_mapping, single_qubit_mapping
+from crflight.mapping import Mapping, build_mapping
 from crflight.model import LatticePoint, LogicalQubit, PhysicalParams
 
 
@@ -61,11 +61,6 @@ class TestBuildMapping:
         assert m.width_mm == m.width_units * 2.0
         assert m.height_mm == m.height_units * 2.0
 
-    def test_slot_of(self):
-        m = build_mapping(2, 3, params())
-        assert m.slot_of(0) == (0, 0)
-        assert m.slot_of(4) == (1, 1)
-
 
 class TestSerialization:
     def test_json_document(self):
@@ -85,13 +80,14 @@ class TestSerialization:
 class TestSingleQubitMapping:
     def test_wraps_explicit_qubit(self):
         q = LogicalQubit(LatticePoint(7, 0), 5)
-        m = single_qubit_mapping(q, params(d=5), 40, 20)
+        m = Mapping(1, 1, params(d=5), (q,), 40, 20)
         assert m.qubits == (q,)
         assert m.width_units == 40
+        assert m.channel_ys == (5,)  # y - d = -5 is out of bounds
 
     def test_rejects_qubit_with_other_code_distance(self):
         # The planner moves each hole by params.d: a d = 5 qubit in a d = 4
         # mapping once planned hole0 -> (8, 4) and hole1 -> (12, 4), 4 apart.
         q = LogicalQubit(LatticePoint(8, 8), 5)
         with pytest.raises(ValueError, match="code_distance must be 4"):
-            single_qubit_mapping(q, params(d=4), 40, 20)
+            Mapping(1, 1, params(d=4), (q,), 40, 20)

@@ -20,7 +20,7 @@ def brute_force_compromised(front, q, t):
     ex, ey = event.x_mm, event.y_mm
     l = params.l_mm
     n = 0
-    for p in q.string_points():
+    for p in q.all_points()[1:-1]:
         px, py = p.physical(l)
         if math.hypot(px - ex, py - ey) < r:
             n += 1
@@ -135,7 +135,7 @@ class TestCompromisedCount:
         q = LogicalQubit(LatticePoint(x, y), d)
         event = CreEvent(ex, ey)
         assert string_clearance_mm(q, event, l) == max(
-            event.distance_mm(pt.physical(l)) for pt in q.string_points())
+            event.distance_mm(pt.physical(l)) for pt in q.all_points()[1:-1])
 
 
 class TestDestruction:
@@ -167,7 +167,7 @@ class TestGeometryTypes:
 
     def test_string_has_d_minus_1_points(self):
         q = LogicalQubit(LatticePoint(2, 3), 7)
-        pts = q.string_points()
+        pts = q.all_points()[1:-1]
         assert len(pts) == 6
         assert pts[0] == LatticePoint(3, 3)
         assert pts[-1] == LatticePoint(8, 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crflight.mapping import build_mapping, single_qubit_mapping
+from crflight.mapping import Mapping, build_mapping
 from crflight.model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint,
                             LogicalQubit, PhysicalParams, phonon_radius)
 from crflight.simulate import (MovePlan, MoveStep, UnescapableError,
@@ -29,7 +29,7 @@ def brute_force_compromised(front, q, t):
     ex, ey = event.x_mm, event.y_mm
     l = params.l_mm
     return sum(math.hypot(px - ex, py - ey) < r
-               for px, py in (pt.physical(l) for pt in q.string_points()))
+               for px, py in (pt.physical(l) for pt in q.all_points()[1:-1]))
 
 
 class TestDetect:
@@ -45,8 +45,8 @@ class TestDetect:
 
 class TestPlanFlight:
     @pytest.mark.parametrize("m, p", [
-        (single_qubit_mapping(LogicalQubit(LatticePoint(8, 8), 5), params(d=5),
-                              40, 20), params(d=4)),
+        (Mapping(1, 1, params(d=5), (LogicalQubit(LatticePoint(8, 8), 5),),
+                 40, 20), params(d=4)),
         (build_mapping(2, 2, params(d=5)), params(d=4)),
         (build_mapping(2, 2, params()), params(l=0.5)),
     ], ids=["single-qubit-d", "2x2-d", "2x2-l"])
@@ -72,7 +72,7 @@ class TestPlanFlight:
         event = CreEvent((q.holes[0].center.x + 2) * p.l_mm,
                          q.holes[0].center.y * p.l_mm)
         plan = plan_flight(m, event, p)
-        steps = plan.steps_for(0)
+        steps = [s for s in plan.steps if s.qubit_id == 0]
         assert plan.batch_count(0) == 1
         assert [s.target[0] for s in steps] == [h.center.x for h in q.holes]
         log = csv.DictReader(io.StringIO(
@@ -98,8 +98,8 @@ class TestPlanFlight:
         # r_max 4.9 the nearest safe targets are x + 2 in the lower channel
         # and x - 2 in the upper one: the lower channel wins.
         p = params(v_p=0.0, r_max=4.9)
-        m = single_qubit_mapping(LogicalQubit(LatticePoint(10, 10), 4), p,
-                                 40, 40)
+        m = Mapping(1, 1, p, (LogicalQubit(LatticePoint(10, 10), 4),), 40,
+                    40)
         plan = plan_flight(m, CreEvent(11.75, 9.75), p)
         assert [s.target for s in plan.steps] == [(10, 6), (14, 6), (16, 6),
                                                   (12, 6)]
@@ -143,7 +143,8 @@ class TestPlanFlight:
             assert all(outcome.survived.values()), t0
         assert ([s.target for s in plans[0.0].steps]
                 == [s.target for s in plans[50.0].steps])
-        assert plans[0.0].steps_for(0)[-1].target == (6, 8)
+        assert [s.target for s in plans[0.0].steps
+                if s.qubit_id == 0][-1] == (6, 8)
 
 
 def eighths(lo, hi):
@@ -201,6 +202,29 @@ class TestPlanFlightProperties:
             assert outcome.destroyed_at.get(qid, -math.inf) < t_move + d
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 6), n=st.integers(1, 4),
+           anchor=st.tuples(st.integers(-4, 24), st.integers(-4, 24)),
+           size=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+           single=st.booleans(), v_p=eighths(0.0, 3.0),
+           r_max=eighths(0.0, 12.0), fx=st.floats(-0.1, 1.1),
+           fy=st.floats(-0.1, 1.1))
+    def test_targets_lie_in_channel_rows(self, d, n, anchor, size, single,
+                                         v_p, r_max, fx, fy):
+        p = params(d=d, v_p=v_p, r_max=r_max)
+        if single:
+            q = LogicalQubit(LatticePoint(*anchor), d)
+            m = Mapping(1, 1, p, (q,), *size)
+        else:
+            m = build_mapping(n, n, p)
+        event = CreEvent(fx * max(m.width_mm, 1.0), fy * max(m.height_mm, 1.0))
+        try:
+            plan = plan_flight(m, event, p)
+        except UnescapableError:
+            return
+        assert {s.target[1] for s in plan.steps} <= set(m.channel_ys)
+
+
 class TestSimulate:
     def test_zero_speed_all_survive(self):
         p = params(v_p=0.0, r_max=1000.0)
@@ -230,7 +254,7 @@ class TestSimulate:
     def test_displacement_plan_translates_whole_qubit(self):
         p = params(d=5, v_p=1.0, r_max=7.0)
         q = LogicalQubit(LatticePoint(0, 0), 5)
-        m = single_qubit_mapping(q, p, 60, 20)
+        m = Mapping(1, 1, p, (q,), 60, 20)
         event = CreEvent(-1.0, 0.0)
         doomed = simulate(m, event, p, MovePlan())
         assert doomed.survived[0] is False
@@ -246,7 +270,7 @@ class TestSimulate:
         # at t = sqrt(2). At (3, 2) the string stays beyond r_max.
         p = PhysicalParams(1.0, 4, 1.0, 0.0, 1.0, 2.5)
         q = LogicalQubit(LatticePoint(0, 0), 4)
-        m = single_qubit_mapping(q, p, 40, 20)
+        m = Mapping(1, 1, p, (q,), 40, 20)
         event = CreEvent(5.0, -1.0)
         outcome = simulate(m, event, p, displacement_plan(0, q, dx, dy, 1.0))
         assert outcome.destroyed_at.get(0) == lost_at
@@ -263,7 +287,8 @@ class TestSimulate:
         for t in range(0, horizon):
             centers = []
             for qid, q in enumerate(m.qubits):
-                steps = [s for s in plan.steps_for(qid) if s.start_cycle <= t]
+                steps = [s for s in plan.steps
+                         if s.qubit_id == qid and s.start_cycle <= t]
                 pos = {0: q.holes[0].center, 1: q.holes[1].center}
                 for s in sorted(steps, key=lambda s: s.start_cycle):
                     pos[s.hole_index] = LatticePoint(*s.target)
@@ -293,7 +318,7 @@ class TestContinuousTime:
         # and the qubit has moved away by t = 3).
         p = params(d=4, v_p=1.0, delta=1.5, r_max=6.0)
         q = LogicalQubit(LatticePoint(0, 0), 4)
-        m = single_qubit_mapping(q, p, 40, 20)
+        m = Mapping(1, 1, p, (q,), 40, 20)
         event = CreEvent(2.0, 2.0)
         plan = displacement_plan(0, q, 0, -4, detect(event, p) + 1)
         outcome = simulate(m, event, p, plan)
@@ -315,7 +340,7 @@ class TestContinuousTime:
                                        ex, ey, axis, shift):
         p = params(l=l, d=d, v_p=v_p, delta=delta, r_max=r_max)
         q = LogicalQubit(LatticePoint(0, 0), d)
-        m = single_qubit_mapping(q, p, 40, 40)
+        m = Mapping(1, 1, p, (q,), 40, 40)
         event = CreEvent(ex, ey, t0)
         t_move = detect(event, p) + 1
         dx, dy = (shift, 0) if axis == "x" else (0, shift)
@@ -364,9 +389,9 @@ class TestModelGap:
     def test_feasible_halfway_point_loses_qubit_before_move(self, dx, dy):
         p = PhysicalParams(1.0, 10, 1.0, 5.0, 1.0, 10.0, 5.0)
         for convention in (HALF_D_MM, HALF_SEPARATION):
-            assert check_feasibility(p, StrikeScenario(HALFWAY, convention)).feasible
+            assert check_feasibility(p, StrikeScenario(HALFWAY, convention))
         q = LogicalQubit(LatticePoint(0, 0), p.d)
-        m = single_qubit_mapping(q, p, 40, 40)
+        m = Mapping(1, 1, p, (q,), 40, 40)
         event = CreEvent(5.0, 0.0)  # the string midpoint
         t_move = detect(event, p) + 1
         assert t_move == 6.0

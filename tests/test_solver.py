@@ -66,9 +66,9 @@ class TestConditions:
         assert check_condition2(params(dl=1e12), StrikeScenario(AT_HOLE))
 
     def test_verdict_is_conjunction(self):
-        p = params()
-        v = check_feasibility(p, StrikeScenario(HALFWAY))
-        assert v.feasible == (v.cond1 and v.cond2)
+        p, s = params(), StrikeScenario(HALFWAY)
+        assert check_feasibility(p, s) == (check_condition1(p, s)
+                                           and check_condition2(p, s))
 
 
 class TestMinCodeDistance:
@@ -81,9 +81,9 @@ class TestMinCodeDistance:
         for kind in (HALFWAY, AT_HOLE):
             s = StrikeScenario(kind)
             d = min_code_distance(p, s)
-            assert check_feasibility(p.with_d(d), s).feasible
+            assert check_feasibility(p.with_d(d), s)
             if d > 2:
-                assert not check_feasibility(p.with_d(d - 1), s).feasible
+                assert not check_feasibility(p.with_d(d - 1), s)
 
     def test_canonical_values(self):
         # frozen from the exhaustive-scan oracle at the canonical settings
