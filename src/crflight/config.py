@@ -7,7 +7,7 @@ unambiguous. Unknown keys are an error.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .solver import DEFAULT_D_MAX, HALF_D_MM, HALF_SEPARATION, SCENARIOS
 
@@ -88,14 +88,15 @@ def parse_config(path: Optional[Path]) -> Dict[str, object]:
     return cfg
 
 
-def sweep_values_from(cfg: Dict[str, object]) -> Optional[List[float]]:
-    """Explicit list wins over start/stop/step; None if neither given."""
+def sweep_values_from(cfg: Dict[str, object],
+                      default_range: Tuple[float, float]) -> List[float]:
+    """Explicit list wins over start/stop/step, which wins over the unit-step
+    grid over ``default_range`` = (start, stop)."""
     if cfg["sweep_values"] is not None:
         return list(cfg["sweep_values"])
-    if cfg["sweep_start"] is None or cfg["sweep_stop"] is None:
-        return None
-    start, stop = float(cfg["sweep_start"]), float(cfg["sweep_stop"])
-    step = float(cfg["sweep_step"])
+    start, stop, step = cfg["sweep_start"], cfg["sweep_stop"], cfg["sweep_step"]
+    if start is None or stop is None:
+        (start, stop), step = default_range, 1.0
     if not step > 0:
         raise ConfigError(f"sweep_step must be > 0, got {step}")
     out = []

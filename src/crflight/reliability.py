@@ -22,13 +22,16 @@ from typing import ClassVar, Tuple
 import numpy as np
 
 from .mapping import Mapping
-from .model import HOLE_SIDE_FRACTION, CreEvent, PhysicalParams
+from .model import CreEvent, PhysicalParams
 from .simulate import UnescapableError, plan_flight, simulate
 
 # Reference frame for the hole-hit probability: a region 10 cells wide by
-# 5 cells tall, each cell d/4 on a side, holding one two-hole qubit.
+# 5 cells tall, each cell d/4 on a side, holding one two-hole qubit. Its
+# hole cells are centred d = 4 cells apart, so in cell units the frame is
+# the same for every d and lattice spacing.
 FRAME_WIDTH_CELLS = 10
 FRAME_HEIGHT_CELLS = 5
+HOLE_CELLS = ((3.0, 2.5), (7.0, 2.5))
 
 ANALYTIC_PREDICATE = "analytic"
 SIMULATOR_PREDICATE = "simulator"
@@ -77,19 +80,6 @@ def failure_probability(r: ReliabilityParams) -> float:
     return 1.0 - (1.0 - r.p_hole_hit) * p_few_hits(r.d, r.lambda_per_s, r.tau_s)
 
 
-def _frame_geometry_mm(d: int, l_mm: float):
-    """Canonical frame and its two hole cells, in mm."""
-    cell = d * l_mm * HOLE_SIDE_FRACTION
-    width = FRAME_WIDTH_CELLS * cell
-    height = FRAME_HEIGHT_CELLS * cell
-    # One horizontal qubit centered in the frame, holes d apart.
-    cy = height / 2.0
-    cx = width / 2.0
-    near = (cx - d * l_mm / 2.0, cy)
-    far = (cx + d * l_mm / 2.0, cy)
-    return width, height, cell, near, far
-
-
 def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
                     n_trials: int, seed: int, predicate: str) -> np.ndarray:
     """Boolean failure flag per trial.
@@ -102,14 +92,18 @@ def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
     """
     point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
     u = np.random.Generator(np.random.Philox(point_seed)).random((n_trials, 2))
-    counts = np.random.Generator(np.random.Philox(count_seed)).poisson(
-        r.lambda_per_s * r.tau_s, n_trials)
+    count_rng = np.random.Generator(np.random.Philox(count_seed))
+    mean = r.lambda_per_s * r.tau_s
+    try:
+        counts = count_rng.poisson(mean, n_trials)
+    except ValueError as exc:
+        raise ValueError(f"lambda_per_s * tau_s = {mean!r} is out of range for "
+                         "numpy's Poisson draw (at most about 9.2e18)") from exc
     failed = counts >= r.d - 1
     if predicate == ANALYTIC_PREDICATE:
-        width, height, cell, near, far = _frame_geometry_mm(r.d, p.l_mm)
-        x, y = u[:, 0] * width, u[:, 1] * height
-        for cx, cy in (near, far):
-            failed |= (np.abs(x - cx) < cell / 2.0) & (np.abs(y - cy) < cell / 2.0)
+        x, y = u[:, 0] * FRAME_WIDTH_CELLS, u[:, 1] * FRAME_HEIGHT_CELLS
+        for cx, cy in HOLE_CELLS:
+            failed |= (np.abs(x - cx) < 0.5) & (np.abs(y - cy) < 0.5)
         return failed
     for i in np.flatnonzero(~failed):
         event = CreEvent(float(u[i, 0] * m.width_mm),

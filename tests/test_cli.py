@@ -56,7 +56,7 @@ class TestConfig:
     def test_sweep_grid_expansion(self, tmp_path):
         path = write_config(tmp_path,
                             "sweep_start = 1\nsweep_stop = 2\nsweep_step = 0.5\n")
-        assert sweep_values_from(parse_config(path)) == [1.0, 1.5, 2.0]
+        assert sweep_values_from(parse_config(path), (5.0, 9.0)) == [1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("key", ["x0_convention", "scenario"])
     def test_unknown_choice_rejected(self, tmp_path, key):
@@ -67,7 +67,7 @@ class TestConfig:
     def test_explicit_values_win(self, tmp_path):
         path = write_config(tmp_path,
                             "sweep_start = 1\nsweep_stop = 9\nsweep_values = 4\n")
-        assert sweep_values_from(parse_config(path)) == [4.0]
+        assert sweep_values_from(parse_config(path), (5.0, 9.0)) == [4.0]
 
 
 class TestSweepCommands:
@@ -90,22 +90,24 @@ class TestSweepCommands:
 
     def test_negative_sweep_value_is_range_error(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_values = -1\n")
-        code = main(["sweep-delta", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["sweep-delta", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RANGE
+        assert list(out.iterdir()) == []
 
     def test_nan_sweep_value_is_range_error(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_values = nan, 3\n")
         out = tmp_path / "out"
         code = main(["sweep-rmax", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RANGE
-        assert not (out / "sweep_r_max.csv").exists()
+        assert list(out.iterdir()) == []
 
     def test_inf_sweep_value_is_range_error(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_values = inf\n")
         out = tmp_path / "out"
         code = main(["sweep-l", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RANGE
-        assert not (out / "sweep_l.csv").exists()
+        assert list(out.iterdir()) == []
 
     def test_unknown_x0_convention_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "x0_convention = bogus\n")
@@ -168,8 +170,17 @@ class TestSimulateCommand:
 
     def test_unescapable_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "d = 4\nr_max_mm = 500.0\n")
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_UNESCAPABLE
+        assert list(out.iterdir()) == []
+
+    def test_unescapable_with_bad_d_max_is_range_error(self, tmp_path, capsys):
+        # naming the solver's minimum d for the exit-4 message needs d_max >= 2
+        cfg = write_config(tmp_path, "d_max = 1\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_RANGE
+        assert "d_max must be >= 2, got 1" in capsys.readouterr().err
 
     def test_unescapable_names_solver_minimum_d(self, tmp_path, capsys):
         # the documented defaults (d = 11) are below the solver's own answer
@@ -188,7 +199,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RANGE
-        assert not any(out.iterdir())
+        assert list(out.iterdir()) == []
 
 
 class TestReliabilityCommand:
@@ -213,13 +224,16 @@ class TestReliabilityCommand:
         assert code == EXIT_RANGE
 
     @pytest.mark.parametrize("line", ["n_trials = 0", "tau_s_min = nan",
-                                      "lambda_per_s = nan", "tau_s_max = inf"])
-    def test_range_error_leaves_no_csv(self, tmp_path, line):
+                                      "lambda_per_s = nan", "tau_s_max = inf",
+                                      "lambda_per_s = 1e300"])
+    def test_range_error_leaves_no_csv(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, line + "\ntau_points = 3\n")
         out = tmp_path / "out"
         code = main(["reliability", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RANGE
-        assert not (out / "reliability.csv").exists()
+        assert list(out.iterdir()) == []
+        # the message names the key at fault
+        assert line.split(" = ")[0] in capsys.readouterr().err
 
 
 class TestReplicateCommand:

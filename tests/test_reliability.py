@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping
-from crflight.model import PhysicalParams
-from crflight.reliability import (ReliabilityParams, _frame_geometry_mm,
+from crflight.model import HOLE_SIDE_FRACTION, PhysicalParams
+from crflight.reliability import (FRAME_HEIGHT_CELLS, FRAME_WIDTH_CELLS,
+                                  HOLE_CELLS, ReliabilityParams,
                                   _trial_failures, failure_probability,
                                   monte_carlo_failure, p_few_hits)
 
@@ -31,10 +32,17 @@ class TestHoleHit:
     @pytest.mark.parametrize("d, l_mm", [(2, 1.0), (5, 0.3), (11, 1.0),
                                          (24, 2.5), (101, 0.07)])
     def test_matches_monte_carlo_frame(self, d, l_mm):
-        # the analytic Monte Carlo samples this frame's two hole cells
-        width, height, cell, _, _ = _frame_geometry_mm(d, l_mm)
+        # The analytic Monte Carlo samples two unit hole cells in a frame of
+        # cells d * l_mm * HOLE_SIDE_FRACTION on a side: in mm, the holes lie
+        # d * l_mm apart, centred in the frame and wholly inside it.
+        cell = d * l_mm * HOLE_SIDE_FRACTION
+        (nx, ny), (fx, fy) = HOLE_CELLS
+        assert (fx - nx) * cell == pytest.approx(d * l_mm, rel=1e-12)
+        assert (nx + fx) / 2 == FRAME_WIDTH_CELLS / 2
+        assert ny == fy == FRAME_HEIGHT_CELLS / 2
+        assert 0.5 <= nx and fx <= FRAME_WIDTH_CELLS - 0.5
         assert ReliabilityParams(0.1, 1.0, d).p_hole_hit == pytest.approx(
-            2 * cell ** 2 / (width * height), rel=1e-12)
+            2 / (FRAME_WIDTH_CELLS * FRAME_HEIGHT_CELLS), rel=1e-12)
 
 
 class TestPoissonTail:
@@ -213,3 +221,7 @@ class TestMonteCarlo:
             monte_carlo_failure(self.m, self.p, r, 0, seed=1)
         with pytest.raises(ValueError):
             monte_carlo_failure(self.m, self.p, r, 10, seed=1, predicate="bogus")
+        # numpy's Poisson draw rejects a mean above about 9.2e18
+        with pytest.raises(ValueError, match=r"lambda_per_s \* tau_s = 1e\+300"):
+            monte_carlo_failure(self.m, self.p, ReliabilityParams(1e300, 1.0, 2),
+                                10, seed=1)
