@@ -26,9 +26,10 @@ from .model import CreEvent, PhysicalParams
 from .simulate import UnescapableError, plan_flight, simulate
 
 # Reference frame for the hole-hit probability: a region 10 cells wide by
-# 5 cells tall, each cell d/4 on a side, holding one two-hole qubit. Its
-# hole cells are centred d = 4 cells apart, so in cell units the frame is
-# the same for every d and lattice spacing.
+# 5 cells tall, each cell d * model.HOLE_SIDE_FRACTION on a side, holding
+# one two-hole qubit. Its hole cells are centred d lattice units, so
+# 1 / HOLE_SIDE_FRACTION = 4 cells, apart; in cell units the frame is the
+# same for every d and lattice spacing. TestHoleHit pins the spacing.
 FRAME_WIDTH_CELLS = 10
 FRAME_HEIGHT_CELLS = 5
 HOLE_CELLS = ((3.0, 2.5), (7.0, 2.5))

@@ -178,9 +178,11 @@ class TestSimulateCommand:
     def test_unescapable_with_bad_d_max_is_range_error(self, tmp_path, capsys):
         # naming the solver's minimum d for the exit-4 message needs d_max >= 2
         cfg = write_config(tmp_path, "d_max = 1\n")
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RANGE
         assert "d_max must be >= 2, got 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_unescapable_names_solver_minimum_d(self, tmp_path, capsys):
         # the documented defaults (d = 11) are below the solver's own answer
