@@ -91,12 +91,15 @@ def parse_config(path: Optional[Path]) -> Dict[str, object]:
 def sweep_values_from(cfg: Dict[str, object],
                       default_range: Tuple[float, float]) -> List[float]:
     """Explicit list wins over start/stop/step, which wins over the unit-step
-    grid over ``default_range`` = (start, stop)."""
+    grid over ``default_range`` = (start, stop); a half-given grid is an error."""
     if cfg["sweep_values"] is not None:
         return list(cfg["sweep_values"])
     start, stop, step = cfg["sweep_start"], cfg["sweep_stop"], cfg["sweep_step"]
-    if start is None or stop is None:
-        (start, stop), step = default_range, 1.0
+    if (start, stop, step) == (None, None, 1.0):
+        start, stop = default_range
+    elif start is None or stop is None:
+        raise ConfigError("sweep_start and sweep_stop must be given "
+                          "together, and sweep_step only with both")
     if not step > 0:
         raise ConfigError(f"sweep_step must be > 0, got {step}")
     out = []

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Dict, Tuple
 
 from .model import (HOLE_SIDE_FRACTION, LatticePoint, LogicalQubit,
                     PhysicalParams)
@@ -46,6 +47,19 @@ class Mapping:
         return tuple(sorted({y2 for q in self.qubits
                              for y2 in (q.anchor.y - d, q.anchor.y + d)
                              if 0 <= y2 <= self.height_units}))
+
+    @cached_property
+    def row_index(self) -> Tuple[Tuple[int, ...], Dict[int, tuple]]:
+        """The sorted qubit rows y, and per row its anchor x's sorted, their
+        qubit ids and its sorted hole-center x's. Built on first use."""
+        d, by_row = self.params.d, {}
+        for qid, q in enumerate(self.qubits):
+            by_row.setdefault(q.anchor.y, []).append((q.anchor.x, qid))
+        rows = {}
+        for y, items in by_row.items():
+            xs, ids = zip(*sorted(items))
+            rows[y] = xs, ids, tuple(sorted(xs + tuple(x + d for x in xs)))
+        return tuple(sorted(rows)), rows
 
     def to_json(self) -> str:
         doc = {

@@ -64,8 +64,8 @@ def p_few_hits(d: int, lambda_per_s: float, tau_s: float) -> float:
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     m = lambda_per_s * tau_s
-    if m < 0:
-        raise ValueError("lambda * tau must be >= 0")
+    if not m >= 0:  # NaN too, as from inf * 0
+        raise ValueError(f"lambda * tau must be >= 0, got {m}")
     if m == math.inf:
         return 0.0  # the recurrence would compute exp(-inf) * inf = NaN
     term = math.exp(-m)

@@ -1,6 +1,9 @@
 """Continuous-time flee simulation: detection, move planning, execution.
 
-One strike at a time: every function here takes a single ``CreEvent``.
+One strike at a time: every function here takes a single ``CreEvent``. The
+planner's threat scan and the simulator's span checks cost O(qubits within
+r_max of it), found in the mapping's row index; the survival report and the
+event log still hold one record per qubit.
 
 Movement semantics: qubits are horizontal, and a hole travels any lattice
 distance along an open channel in a fixed time of d cycles. A vertical
@@ -21,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,6 +90,22 @@ def is_safe_position(q: LogicalQubit, event: CreEvent,
     return string_clearance_mm(q, event, p.l_mm) >= p.r_max_mm
 
 
+def _near_qubits(m: Mapping, event: CreEvent, p: PhysicalParams) -> List[int]:
+    """Ids, in order, of the qubits whose string ends (x + 1, y) and
+    (x + d - 1, y) may lie within r_max of the strike, give or take a lattice
+    unit; ValueError if p's d or l_mm is not the mapping's."""
+    if (p.d, p.l_mm) != (m.params.d, m.params.l_mm):
+        raise ValueError(f"p has d = {p.d}, l_mm = {p.l_mm}; the mapping's differ")
+    ys, rows = m.row_index
+    cx, cy, r = event.x_mm / p.l_mm, event.y_mm / p.l_mm, p.r_max_mm / p.l_mm
+    x_hi = cx + r - m.params.d + 2
+    near: List[int] = []
+    for y in ys[bisect_left(ys, cy - r - 1):bisect_right(ys, cy + r + 1)]:
+        xs, ids, _ = rows[y]
+        near += ids[bisect_left(xs, cx - r - 2):bisect_right(xs, x_hi)]
+    return sorted(near)
+
+
 def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int],
                  rows: Dict[int, List[int]], d: int) -> bool:
     """True iff a hole footprint swept along the axis-aligned leg a -> b
@@ -119,24 +138,17 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     a threatened qubit has no safe in-bounds target, and ValueError when p's
     d or l_mm is not the mapping's.
     """
-    if (p.d, p.l_mm) != (m.params.d, m.params.l_mm):
-        raise ValueError(f"p has d = {p.d}, l_mm = {p.l_mm}; the mapping's differ")
     d = p.d
     t_move = detect(event, p) + 1.0
     x_max = m.width_units - d
 
-    threatened = [(qid, q) for qid, q in enumerate(m.qubits)
-                  if not is_safe_position(q, event, p)]
-    threatened.sort(key=lambda item: (
-        min(event.distance_mm(pt.physical(p.l_mm))
-            for pt in item[1].all_points()),
-        item[0]))
+    threatened = [(qid, m.qubits[qid]) for qid in _near_qubits(m, event, p)
+                  if not is_safe_position(m.qubits[qid], event, p)]
+    threatened.sort(key=lambda item: min(  # stable: ties stay in id order
+        event.distance_mm(pt.physical(p.l_mm)) for pt in item[1].all_points()))
 
     # Current hole centers by row, sorted by x; updated as targets are chosen.
-    rows: Dict[int, List[int]] = {}
-    for q in m.qubits:
-        for hx in (q.anchor.x, q.anchor.x + d):
-            insort(rows.setdefault(q.anchor.y, []), hx)
+    rows = {y: list(holes) for y, (_, _, holes) in m.row_index[1].items()}
 
     steps: List[MoveStep] = []
     fallback_qubits: List[int] = []
@@ -255,7 +267,8 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
     """Record per-qubit survival and the exact time of each destruction.
 
     Each position span [start, end) a qubit holds is judged in closed form
-    by ``_span_crossing``, with the string rule.
+    by ``_span_crossing``, with the string rule; a qubit that neither moves
+    nor is near the strike survives. ValueError if p is not the mapping's.
     """
     t0 = event.t0_cycles
     timeline: List[Tuple[float, str, Optional[int], str]] = [
@@ -271,8 +284,8 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
         steps_by_qubit.setdefault(s.qubit_id, []).append(s)
 
     destroyed_at: Dict[int, float] = {}
-    for qid, q in enumerate(m.qubits):
-        spans = _positions_over_time(q, steps_by_qubit.get(qid, ()))
+    for qid in sorted(steps_by_qubit.keys() | _near_qubits(m, event, p)):
+        spans = _positions_over_time(m.qubits[qid], steps_by_qubit.get(qid, ()))
         for k, (start, moved) in enumerate(spans):
             end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
             t = _span_crossing(moved, start, end, event, p)

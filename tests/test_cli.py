@@ -69,6 +69,20 @@ class TestConfig:
                             "sweep_start = 1\nsweep_stop = 9\nsweep_values = 4\n")
         assert sweep_values_from(parse_config(path), (5.0, 9.0)) == [4.0]
 
+    @pytest.mark.parametrize("text", [
+        "sweep_start = 3\n", "sweep_stop = 9\n", "sweep_step = 0.5\n",
+        "sweep_start = 3\nsweep_step = 0.5\n"],
+        ids=["start", "stop", "step", "start-step"])
+    def test_half_given_grid_rejected(self, tmp_path, text):
+        # Each of these once swept the default grid in unit steps.
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match="sweep_start and sweep_stop"):
+            sweep_values_from(parse_config(path), (5.0, 9.0))
+
+    def test_explicit_values_win_over_half_given_grid(self, tmp_path):
+        path = write_config(tmp_path, "sweep_start = 3\nsweep_values = 4\n")
+        assert sweep_values_from(parse_config(path), (5.0, 9.0)) == [4.0]
+
 
 class TestSweepCommands:
     def test_default_rmax_sweep(self, tmp_path):
@@ -113,6 +127,14 @@ class TestSweepCommands:
         cfg = write_config(tmp_path, "x0_convention = bogus\n")
         code = main(["sweep-l", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    def test_half_given_grid_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sweep_start = 3\nsweep_step = 0.5\n")
+        out = tmp_path / "out"
+        code = main(["sweep-l", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "sweep_start and sweep_stop" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bogus = 1\n")

@@ -115,6 +115,11 @@ class TestFailureProbability:
         assert p_few_hits(5, math.inf, 1.0) == 0.0
         assert failure_probability(ReliabilityParams(math.inf, 1.0, 11)) == 1.0
 
+    def test_nan_rate_times_duration_rejected(self):
+        # inf * 0 = NaN slipped past the m < 0 check and came out as NaN.
+        with pytest.raises(ValueError, match="lambda \\* tau must be >= 0"):
+            failure_probability(ReliabilityParams(math.inf, 0.0, 11))
+
     def test_params_reject_nan(self):
         with pytest.raises(ValueError):
             ReliabilityParams(math.nan, 1.0, 5)

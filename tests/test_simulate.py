@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import math
 import random
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from crflight.mapping import Mapping, build_mapping
 from crflight.model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint,
-                            LogicalQubit, PhysicalParams, phonon_radius)
+                            LogicalQubit, PhysicalParams, phonon_radius,
+                            string_clearance_mm)
 from crflight.simulate import (MovePlan, MoveStep, UnescapableError,
-                               _span_crossing, detect, displacement_plan,
-                               is_safe_position, plan_flight, simulate)
+                               _near_qubits, _span_crossing, detect,
+                               displacement_plan, is_safe_position,
+                               plan_flight, simulate)
 from crflight.solver import (HALF_D_MM, HALF_SEPARATION, HALFWAY,
                              StrikeScenario, check_feasibility)
 
@@ -43,13 +46,18 @@ class TestDetect:
         assert detect(CreEvent(0, 0, t0_cycles=3.0), params(delta=25.0)) == 28.0
 
 
+# (mapping, params of another mapping): holes move by p.d on the mapping's
+# lattice, and the row index is in the mapping's lattice units.
+OTHER_MAPPING_PARAMS = pytest.mark.parametrize("m, p", [
+    (Mapping(1, 1, params(d=5), (LogicalQubit(LatticePoint(8, 8), 5),),
+             40, 20), params(d=4)),
+    (build_mapping(2, 2, params(d=5)), params(d=4)),
+    (build_mapping(2, 2, params()), params(l=0.5)),
+], ids=["single-qubit-d", "2x2-d", "2x2-l"])
+
+
 class TestPlanFlight:
-    @pytest.mark.parametrize("m, p", [
-        (Mapping(1, 1, params(d=5), (LogicalQubit(LatticePoint(8, 8), 5),),
-                 40, 20), params(d=4)),
-        (build_mapping(2, 2, params(d=5)), params(d=4)),
-        (build_mapping(2, 2, params()), params(l=0.5)),
-    ], ids=["single-qubit-d", "2x2-d", "2x2-l"])
+    @OTHER_MAPPING_PARAMS
     def test_rejects_params_of_another_mapping(self, m, p):
         # Holes move by p.d on the mapping's lattice: with p.d = 4 the d = 5
         # single qubit was planned hole0 -> (8, 4), hole1 -> (12, 4), and the
@@ -226,6 +234,14 @@ class TestPlanFlightProperties:
 
 
 class TestSimulate:
+    @OTHER_MAPPING_PARAMS
+    def test_rejects_params_of_another_mapping(self, m, p):
+        # simulate once judged such a p silently: with l_mm = 0.5 it put the
+        # 2x2 chip's qubits at half their distances and lost qubit 3 at
+        # t ~ 1.61, which the mapping's own l_mm keeps out of reach.
+        with pytest.raises(ValueError, match="the mapping's differ"):
+            simulate(m, CreEvent(10.0, 8.0), p, MovePlan())
+
     def test_zero_speed_all_survive(self):
         p = params(v_p=0.0, r_max=1000.0)
         m = build_mapping(2, 2, p)
@@ -539,3 +555,87 @@ class TestReferencePlanner:
                    for o in outcomes)
         assert any(isinstance(o, MovePlan) and len(o.steps) > 20
                    for o in outcomes)
+
+
+# The module, which the package's simulate function shadows as an attribute.
+SIMULATE_MODULE = importlib.import_module("crflight.simulate")
+
+
+def every_qubit(m, event, p):
+    """Stands in for the row-index lookup: every qubit counts as near."""
+    return list(range(len(m.qubits)))
+
+
+class TestCullingOracle:
+    """plan_flight and simulate look up only the qubits near the strike in
+    the mapping's row index. Checked here against passes over every qubit:
+    the reference planner, and simulate with the lookup replaced by
+    ``every_qubit``."""
+
+    def test_matches_every_qubit_pass(self, monkeypatch):
+        rng = random.Random(13)
+        kinds = set()
+        for _ in range(600):
+            d = rng.randint(2, 5)
+            # Several qubits per row on a 2d pitch, so every row keeps its
+            # channels, listed in a shuffled order so ids are not x order.
+            anchors = [(d + 2 * d * j, d + 2 * d * i) for i in range(3)
+                       for j in range(5) if rng.random() < 0.6] or [(d, d)]
+            rng.shuffle(anchors)
+            p = params(l=rng.choice((0.5, 1.0, 2.5)), d=d,
+                       v_p=rng.choice((0.0, 0.05, rng.uniform(0.1, 3.0))),
+                       delta=rng.uniform(0.0, 3.0),
+                       r_max=rng.choice((0.0, rng.uniform(0.5, 8.0), 200.0)))
+            m = Mapping(1, 1, p, tuple(LogicalQubit(LatticePoint(*a), d)
+                                       for a in anchors), 10 * d + d, 6 * d)
+            event = CreEvent(rng.uniform(-0.2, 1.2) * m.width_mm,
+                             rng.uniform(-0.2, 1.2) * m.height_mm,
+                             rng.choice((0.0, 7.0)))
+            near = _near_qubits(m, event, p)
+            reached = [qid for qid, q in enumerate(m.qubits)
+                       if string_clearance_mm(q, event, p.l_mm) < p.r_max_mm]
+            assert near == sorted(near) and set(reached) <= set(near)
+            kinds.add("culled" if len(near) < len(m.qubits) else "all near")
+
+            results = []
+            for planner in (plan_flight, reference_plan_flight):
+                try:
+                    results.append(planner(m, event, p))
+                except UnescapableError as exc:
+                    results.append(exc.qubit_id)
+            assert results[0] == results[1], (anchors, p, event)
+            qid = rng.randrange(len(m.qubits))
+            plans = [MovePlan(), displacement_plan(
+                qid, m.qubits[qid], rng.randint(-3 * d, 3 * d),
+                rng.randint(-3 * d, 3 * d), detect(event, p) + 1.0)]
+            if isinstance(results[0], MovePlan):
+                plans.append(results[0])
+            for plan in plans:
+                got = simulate(m, event, p, plan)
+                with monkeypatch.context() as patch:
+                    patch.setattr(SIMULATE_MODULE, "_near_qubits", every_qubit)
+                    want = simulate(m, event, p, plan)
+                assert got == want
+                assert list(got.destroyed_at) == list(want.destroyed_at)
+                assert got.event_log_csv() == want.event_log_csv()
+                if got.destroyed_at:
+                    kinds.add("lost")
+        assert kinds == {"culled", "all near", "lost"}
+
+    @pytest.mark.parametrize("l", [1.0, 0.5])
+    def test_clearance_equal_to_r_max_is_safe(self, l):
+        # The string ends (1, 0) and (3, 0) lie 4.12 l and exactly 5 l (a
+        # 3-4-5 triangle) from the strike at (0, 4) l, so the clearance is
+        # r_max: the front stops at the far end, and the qubit stays put.
+        q = LogicalQubit(LatticePoint(0, 0), 4)
+        event = CreEvent(0.0, 4.0 * l)
+        for r_max, safe in ((5.0 * l, True), (5.0 * l + 1e-9, False)):
+            p = params(l=l, v_p=1.0, r_max=r_max)
+            m = Mapping(1, 1, p, (q,), 40, 40)
+            assert string_clearance_mm(q, event, l) == 5.0 * l
+            assert _near_qubits(m, event, p) == [0]
+            assert is_safe_position(q, event, p) is safe
+            plan = plan_flight(m, event, p)
+            assert (plan == MovePlan()) is safe
+            outcome = simulate(m, event, p, MovePlan())
+            assert outcome.survived == {0: safe}
