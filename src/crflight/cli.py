@@ -180,10 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CRFLIGHT_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("CRFLIGHT_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"CRFLIGHT_LOG names no logging level: {level!r}")
+        logging.basicConfig(level=level,
+                            format="%(levelname)s %(name)s: %(message)s")
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed

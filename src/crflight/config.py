@@ -6,6 +6,7 @@ unambiguous. Unknown keys are an error.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -102,6 +103,9 @@ def sweep_values_from(cfg: Dict[str, object],
                           "together, and sweep_step only with both")
     if not step > 0:
         raise ConfigError(f"sweep_step must be > 0, got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep_start and sweep_stop must be finite, got "
+                         f"{start} and {stop}")
     out = []
     v = start
     while v <= stop + 1e-9:

@@ -2,8 +2,8 @@
 
 One strike at a time: every function here takes a single ``CreEvent``. The
 planner's threat scan and the simulator's span checks cost O(qubits within
-r_max of it), found in the mapping's row index; the survival report and the
-event log still hold one record per qubit.
+r_max of it), found in the mapping's row index; each survivor costs one
+timeline record and one preformatted event-log line.
 
 Movement semantics: qubits are horizontal, and a hole travels any lattice
 distance along an open channel in a fixed time of d cycles. A vertical
@@ -74,8 +74,13 @@ class SimOutcome:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["cycle", "event_kind", "qubit_id", "detail"])
+        survived_prefix = ""  # every survivor row shares one cycle
         for cycle, kind, qid, detail in self.timeline:
-            w.writerow([f"{cycle:g}", kind, "" if qid is None else qid, detail])
+            if kind == "survived":  # no field of it can need quoting
+                survived_prefix = survived_prefix or f"{cycle:g},survived,"
+                buf.write(f"{survived_prefix}{qid},\n")
+            else:
+                w.writerow([f"{cycle:g}", kind, "" if qid is None else qid, detail])
         return buf.getvalue()
 
 
@@ -297,9 +302,12 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
     td = p.t_dissipate_cycles
     if math.isfinite(td):
         timeline.append((t0 + td, "dissipated", None, f"r_max={p.r_max_mm:g}mm"))
+    timeline.sort(key=lambda rec: (rec[0], rec[1], -1 if rec[2] is None else rec[2]))
+    # "survived" sorts last at equal cycles, so the survivors, in id order,
+    # go in as one block after the last record due by t_survived.
     t_survived = t0 + (td if math.isfinite(td) else 0.0)
     survived = {qid: qid not in destroyed_at for qid in range(len(m.qubits))}
-    timeline.extend((t_survived, "survived", qid, "")
-                    for qid, ok in survived.items() if ok)
-    timeline.sort(key=lambda rec: (rec[0], rec[1], -1 if rec[2] is None else rec[2]))
+    i = bisect_right(timeline, t_survived, key=lambda rec: rec[0])
+    timeline[i:i] = [(t_survived, "survived", qid, "")
+                     for qid, ok in survived.items() if ok]
     return SimOutcome(survived, destroyed_at, tuple(timeline))

@@ -3,9 +3,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crflight
 from crflight import solver
 from crflight.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RANGE, EXIT_UNESCAPABLE,
                           main)
@@ -17,6 +22,25 @@ def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def run_cli_capped(*args):
+    """Run the CLI in a child process capped at 400 MB of address space and
+    60 s, so that a run that never ends fails its test instead of hanging
+    the suite or exhausting the host's memory."""
+    resource = pytest.importorskip("resource")
+    cap = 400 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(crflight.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "crflight.cli", *args],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit, env=env)
 
 
 class TestConfig:
@@ -134,6 +158,32 @@ class TestSweepCommands:
         code = main(["sweep-l", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "sweep_start and sweep_stop" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    # A grid with an infinite bound never ends; it must fail before it is built.
+    @pytest.mark.parametrize("sub, grid", [
+        ("sweep-l", "sweep_start = 1\nsweep_stop = inf\n"),
+        ("sweep-rmax", "sweep_start = -inf\nsweep_stop = 1\n"),
+        ("sweep-delta", "sweep_start = nan\nsweep_stop = 5\n"),
+        ("replicate-paper", "sweep_start = 1\nsweep_stop = inf\n"),
+    ], ids=["l-inf-stop", "rmax-minus-inf-start", "delta-nan-start",
+            "replicate-inf-stop"])
+    def test_non_finite_grid_bound_is_range_error(self, tmp_path, sub, grid):
+        cfg = write_config(tmp_path, grid)
+        out = tmp_path / "out"
+        result = run_cli_capped(sub, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == EXIT_RANGE, result.stderr
+        assert "sweep_start and sweep_stop must be finite" in result.stderr
+        assert list(out.iterdir()) == []
+
+    def test_unknown_log_level_is_config_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("CRFLIGHT_LOG", "verbose")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sweep-l", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "CRFLIGHT_LOG" in err
         assert list(out.iterdir()) == []
 
     def test_unknown_key_is_config_error(self, tmp_path):

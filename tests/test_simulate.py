@@ -639,3 +639,65 @@ class TestCullingOracle:
             assert (plan == MovePlan()) is safe
             outcome = simulate(m, event, p, MovePlan())
             assert outcome.survived == {0: safe}
+
+
+def reference_event_log_csv(timeline):
+    """Independent oracle: every row of the event log, survivors included,
+    written through csv.writer."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["cycle", "event_kind", "qubit_id", "detail"])
+    for cycle, kind, qid, detail in timeline:
+        w.writerow([f"{cycle:g}", kind, "" if qid is None else qid, detail])
+    return buf.getvalue()
+
+
+class TestReportOracle:
+    """simulate puts the survivor records into its sorted timeline as one
+    block, and event_log_csv preformats their rows. Checked here against a
+    full sort of the timeline and the csv.writer rendering of it."""
+
+    # On a 2x2 d = 4 chip, (0.3, 0.25) of the frame is qubit 0's string
+    # midpoint, (6, 4) mm. The examples take t0 = 0, 0.5 and 7.
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), d=st.integers(2, 6),
+           l=st.sampled_from((0.5, 1.0, 2.0)),
+           v_p=st.sampled_from((0.0, 0.05, 2.5, 50.0)) | st.floats(0.1, 3.0),
+           delta=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 5.0),
+           r_max=st.just(0.0) | st.floats(0.5, 40.0),
+           t0=st.sampled_from((0.0, 0.5, 7.0)) | st.floats(0.0, 100.0),
+           fx=st.floats(-0.5, 1.5), fy=st.floats(-0.5, 1.5),
+           planned=st.booleans())
+    # v_p = 0: the survivors sit at t0, next to the strike
+    @example(rows=2, cols=2, d=4, l=1.0, v_p=0.0, delta=1.0, r_max=6.0,
+             t0=0.5, fx=0.3, fy=0.25, planned=True)
+    # delta = 0: detected at t0; a move completes after dissipation
+    @example(rows=2, cols=2, d=4, l=1.0, v_p=0.5, delta=0.0, r_max=6.0,
+             t0=0.0, fx=0.3, fy=0.25, planned=True)
+    # a fast front: dissipated at t0 + 0.06, moves start and complete later
+    @example(rows=2, cols=2, d=4, l=1.0, v_p=50.0, delta=1.0, r_max=3.0,
+             t0=7.0, fx=0.3, fy=0.25, planned=True)
+    # destroys every qubit: no survivor records
+    @example(rows=2, cols=2, d=4, l=1.0, v_p=2.5, delta=1.0, r_max=40.0,
+             t0=0.0, fx=0.3, fy=0.25, planned=False)
+    # threatens none: every qubit survives
+    @example(rows=2, cols=2, d=4, l=1.0, v_p=2.5, delta=1.0, r_max=6.0,
+             t0=0.5, fx=-0.5, fy=-0.5, planned=True)
+    def test_timeline_sorted_and_log_matches_writer(
+            self, rows, cols, d, l, v_p, delta, r_max, t0, fx, fy, planned):
+        p = params(l=l, d=d, v_p=v_p, delta=delta, r_max=r_max)
+        m = build_mapping(rows, cols, p)
+        event = CreEvent(fx * m.width_mm, fy * m.height_mm, t0)
+        plan = MovePlan()
+        if planned:
+            try:
+                plan = plan_flight(m, event, p)
+            except UnescapableError:
+                pass
+        outcome = simulate(m, event, p, plan)
+        timeline = list(outcome.timeline)
+        assert timeline == sorted(timeline, key=lambda rec: (
+            rec[0], rec[1], -1 if rec[2] is None else rec[2]))
+        assert [rec[2] for rec in timeline if rec[1] == "survived"] == [
+            qid for qid, ok in outcome.survived.items() if ok]
+        assert outcome.event_log_csv() == reference_event_log_csv(timeline)
