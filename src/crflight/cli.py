@@ -187,6 +187,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"CRFLIGHT_LOG names no logging level: {level!r}")
         logging.basicConfig(level=level,
                             format="%(levelname)s %(name)s: %(message)s")
+        log.setLevel(level)  # basicConfig does nothing once root has a handler
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -13,6 +13,10 @@ from typing import Dict, List, Optional, Tuple
 from .solver import DEFAULT_D_MAX, HALF_D_MM, HALF_SEPARATION, SCENARIOS
 
 
+# Most points a start/stop/step grid may hold; the default grids hold 25-100.
+MAX_SWEEP_POINTS = 100_000
+
+
 class ConfigError(Exception):
     pass
 
@@ -106,6 +110,14 @@ def sweep_values_from(cfg: Dict[str, object],
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep_start and sweep_stop must be finite, got "
                          f"{start} and {stop}")
+    # Counted before the loop, which would otherwise run out of memory.
+    top = max(abs(start), abs(stop) + 1e-9)
+    if not step > math.ulp(top) / 2:
+        raise ValueError(f"sweep_step {step} is too small to advance grid "
+                         f"values near {top}")
+    if (stop + 1e-9 - start) / step >= MAX_SWEEP_POINTS:
+        raise ValueError(f"the sweep grid holds more than {MAX_SWEEP_POINTS} "
+                         "points")
     out = []
     v = start
     while v <= stop + 1e-9:

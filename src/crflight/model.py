@@ -148,18 +148,25 @@ def phonon_radius(event: CreEvent, p: PhysicalParams, t: float) -> float:
     return min(p.mm_per_cycle * dt, p.r_max_mm)
 
 
+def string_clearance_at(x: int, y: int, d: int, event: CreEvent,
+                        l_mm: float) -> float:
+    """Largest epicenter clearance over the string of the distance-d qubit
+
+    anchored at lattice point (x, y). All d - 1 string qubits lie strictly
+    inside the strike's disc exactly when its radius exceeds this. The
+    string is a straight row, so the distance along it has no interior
+    maximum and one of the two end qubits is farthest.
+    """
+    ex, dy = event.x_mm, y * l_mm - event.y_mm
+    return max(math.hypot((x + 1) * l_mm - ex, dy),
+               math.hypot((x + d - 1) * l_mm - ex, dy))
+
+
 def string_clearance_mm(q: LogicalQubit, event: CreEvent,
                         l_mm: float) -> float:
-    """Largest epicenter clearance over the string. All d - 1 string
-
-    qubits lie strictly inside the strike's disc exactly when its radius
-    exceeds this. The string is a straight row, so the distance along it
-    has no interior maximum and one of the two end qubits is farthest.
-    """
+    """``string_clearance_at`` for the qubit q."""
     a = q.anchor
-    ex, dy = event.x_mm, a.y * l_mm - event.y_mm
-    return max(math.hypot((a.x + 1) * l_mm - ex, dy),
-               math.hypot((a.x + q.code_distance - 1) * l_mm - ex, dy))
+    return string_clearance_at(a.x, a.y, q.code_distance, event, l_mm)
 
 
 def string_overwhelmed(event: CreEvent, p: PhysicalParams, q: LogicalQubit,

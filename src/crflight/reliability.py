@@ -23,7 +23,7 @@ import numpy as np
 
 from .mapping import Mapping
 from .model import CreEvent, PhysicalParams
-from .simulate import UnescapableError, plan_flight, simulate
+from .simulate import UnescapableError, _destruction_times, plan_flight
 
 # Reference frame for the hole-hit probability: a region 10 cells wide by
 # 5 cells tall, each cell d * model.HOLE_SIDE_FRACTION on a side, holding
@@ -109,9 +109,9 @@ def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
     for i in np.flatnonzero(~failed):
         event = CreEvent(float(u[i, 0] * m.width_mm),
                          float(u[i, 1] * m.height_mm), 0.0)
-        try:
-            plan = plan_flight(m, event, p)
-            failed[i] = not all(simulate(m, event, p, plan).survived.values())
+        try:  # any destruction loses a qubit of the chip
+            failed[i] = bool(_destruction_times(m, event, p,
+                                                plan_flight(m, event, p)))
         except UnescapableError:
             failed[i] = True
     return failed

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .mapping import Mapping
 from .model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint, LogicalQubit,
-                    PhysicalParams, phonon_radius, string_clearance_mm)
+                    PhysicalParams, phonon_radius, string_clearance_at,
+                    string_clearance_mm)
 
 
 class UnescapableError(Exception):
@@ -143,29 +144,31 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     a threatened qubit has no safe in-bounds target, and ValueError when p's
     d or l_mm is not the mapping's.
     """
-    d = p.d
+    d, l, ex, ey = p.d, p.l_mm, event.x_mm, event.y_mm
     t_move = detect(event, p) + 1.0
     x_max = m.width_units - d
 
-    threatened = [(qid, m.qubits[qid]) for qid in _near_qubits(m, event, p)
+    threatened = [(qid, m.qubits[qid].anchor) for qid in _near_qubits(m, event, p)
                   if not is_safe_position(m.qubits[qid], event, p)]
+    # By the epicenter distance of the nearest hole center or string qubit.
     threatened.sort(key=lambda item: min(  # stable: ties stay in id order
-        event.distance_mm(pt.physical(p.l_mm)) for pt in item[1].all_points()))
+        math.hypot((item[1].x + k) * l - ex, item[1].y * l - ey)
+        for k in range(d + 1)))
 
     # Current hole centers by row, sorted by x; updated as targets are chosen.
     rows = {y: list(holes) for y, (_, _, holes) in m.row_index[1].items()}
 
     steps: List[MoveStep] = []
     fallback_qubits: List[int] = []
-    for qid, q in threatened:
-        x, y = q.anchor.x, q.anchor.y
+    for qid, a in threatened:
+        x, y = a.x, a.y
         rows[y].remove(x)
         rows[y].remove(x + d)
         channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units]
         # Whether the front overruns the stopover at (x, y2) during the d
         # cycles before the horizontal run leaves it.
-        overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
-                                      t_move + d, event, p) is not None
+        overrun = {y2: _crossing(string_clearance_at(x, y2, d, event, l),
+                                 t_move, t_move + d, event, p) is not None
                    for y2 in channels}
         # Walk outward: targets k columns from x (k = 0 once) lie hypot(k, d)
         # away, taken in (y2, x2) order. A swept leg's box only grows with k,
@@ -183,8 +186,8 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
                 if not 0 <= x2 <= x_max or fallback and overrun[y2]:
                     live.remove(dr)  # for good, or no better than the fallback
                     continue
-                if not is_safe_position(q.translated(x2 - x, y2 - y), event, p):
-                    continue
+                if string_clearance_at(x2, y2, d, event, l) < p.r_max_mm:
+                    continue  # not a safe position
                 if y2 not in vertical_blocked:
                     vertical_blocked[y2] = any(
                         _leg_blocked((hx, y), (hx, y2), rows, d)
@@ -247,47 +250,39 @@ def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
     return out
 
 
-def _span_crossing(q: LogicalQubit, start: float, end: float,
-                   event: CreEvent, p: PhysicalParams) -> Optional[float]:
-    """First time the strike's front overwhelms q's string while q is held
+def _crossing(thr: float, start: float, end: float, event: CreEvent,
+              p: PhysicalParams) -> Optional[float]:
+    """First time the strike's front overwhelms a string of clearance thr
 
-    still over [start, end), or None. The radius grows linearly until it
-    dissipates, so with the string clearance thr the crossing is
-    max(start, t0 + thr / mm_per_cycle), provided thr < r_max and that time
-    falls inside the span and no later than dissipation. A front that does
-    not move crosses nothing.
+    held still over [start, end), or None. The radius grows linearly until
+    it dissipates, so the crossing is max(start, t0 + thr / mm_per_cycle),
+    provided thr < r_max and that time falls inside the span and no later
+    than dissipation. A front that does not move crosses nothing.
     """
-    if p.mm_per_cycle == 0:
-        return None
-    thr = string_clearance_mm(q, event, p.l_mm)
-    if thr >= p.r_max_mm:
+    if p.mm_per_cycle == 0 or thr >= p.r_max_mm:
         return None
     t0 = event.t0_cycles
     t = max(start, t0 + thr / p.mm_per_cycle)
     return t if t < end and t <= t0 + p.t_dissipate_cycles else None
 
 
-def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
-             plan: MovePlan) -> SimOutcome:
-    """Record per-qubit survival and the exact time of each destruction.
+def _span_crossing(q: LogicalQubit, start: float, end: float,
+                   event: CreEvent, p: PhysicalParams) -> Optional[float]:
+    """``_crossing`` for q's string, q held still over [start, end)."""
+    return _crossing(string_clearance_mm(q, event, p.l_mm), start, end, event, p)
+
+
+def _destruction_times(m: Mapping, event: CreEvent, p: PhysicalParams,
+                       plan: MovePlan) -> Dict[int, float]:
+    """Cycle at which each lost qubit is lost, in id order.
 
     Each position span [start, end) a qubit holds is judged in closed form
     by ``_span_crossing``, with the string rule; a qubit that neither moves
     nor is near the strike survives. ValueError if p is not the mapping's.
     """
-    t0 = event.t0_cycles
-    timeline: List[Tuple[float, str, Optional[int], str]] = [
-        (t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"),
-        (detect(event, p), "detected", None, f"delta={p.delta_cycles:g}")]
-
     steps_by_qubit: Dict[int, List[MoveStep]] = {}
     for s in plan.steps:
-        timeline.append((s.start_cycle, "move_start", s.qubit_id,
-                         f"hole{s.hole_index}->{s.target[0]},{s.target[1]}"))
-        timeline.append((s.start_cycle + m.qubits[s.qubit_id].code_distance,
-                         "move_complete", s.qubit_id, f"hole{s.hole_index}"))
         steps_by_qubit.setdefault(s.qubit_id, []).append(s)
-
     destroyed_at: Dict[int, float] = {}
     for qid in sorted(steps_by_qubit.keys() | _near_qubits(m, event, p)):
         spans = _positions_over_time(m.qubits[qid], steps_by_qubit.get(qid, ()))
@@ -296,9 +291,29 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
             t = _span_crossing(moved, start, end, event, p)
             if t is not None:
                 destroyed_at[qid] = t
-                timeline.append((t, "destroyed", qid,
-                                 f"radius={phonon_radius(event, p, t):g}mm"))
                 break
+    return destroyed_at
+
+
+def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
+             plan: MovePlan) -> SimOutcome:
+    """Record per-qubit survival, the exact time of each destruction (from
+
+    ``_destruction_times``) and the strike's event timeline. ValueError if
+    p is not the mapping's.
+    """
+    destroyed_at = _destruction_times(m, event, p, plan)
+    t0 = event.t0_cycles
+    timeline: List[Tuple[float, str, Optional[int], str]] = [
+        (t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"),
+        (detect(event, p), "detected", None, f"delta={p.delta_cycles:g}")]
+    for s in plan.steps:
+        timeline.append((s.start_cycle, "move_start", s.qubit_id,
+                         f"hole{s.hole_index}->{s.target[0]},{s.target[1]}"))
+        timeline.append((s.start_cycle + m.qubits[s.qubit_id].code_distance,
+                         "move_complete", s.qubit_id, f"hole{s.hole_index}"))
+    timeline += [(t, "destroyed", qid, f"radius={phonon_radius(event, p, t):g}mm")
+                 for qid, t in destroyed_at.items()]
     td = p.t_dissipate_cycles
     if math.isfinite(td):
         timeline.append((t0 + td, "dissipated", None, f"r_max={p.r_max_mm:g}mm"))

@@ -14,7 +14,8 @@ import crflight
 from crflight import solver
 from crflight.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RANGE, EXIT_UNESCAPABLE,
                           main)
-from crflight.config import ConfigError, parse_config, sweep_values_from
+from crflight.config import (MAX_SWEEP_POINTS, ConfigError, parse_config,
+                             sweep_values_from)
 from crflight.solver import read_sweep_csv
 
 
@@ -175,6 +176,48 @@ class TestSweepCommands:
         assert result.returncode == EXIT_RANGE, result.stderr
         assert "sweep_start and sweep_stop must be finite" in result.stderr
         assert list(out.iterdir()) == []
+
+    # A finite grid too large to hold, or whose step stops advancing its
+    # values, must fail before it is built too. 2**53 + 4 has an even
+    # significand, so adding 1 rounds back to it, though 1 advances both
+    # 2**53 + 2 and 2**53 + 6.
+    @pytest.mark.parametrize("sub, grid, message", [
+        ("sweep-l", "sweep_start = 1\nsweep_stop = 1e15\n", "more than 100000"),
+        ("sweep-l", "sweep_start = 1\nsweep_stop = 2\nsweep_step = 1e-20\n",
+         "too small"),
+        ("sweep-l", "sweep_start = 9007199254740994\n"
+         "sweep_stop = 9007199254740998\n", "too small"),
+        ("replicate-paper", "sweep_start = 1\nsweep_stop = 1e15\n",
+         "more than 100000"),
+    ], ids=["l-huge-stop", "l-tiny-step", "l-step-stalls-mid-grid",
+            "replicate-huge-stop"])
+    def test_oversized_grid_is_range_error(self, tmp_path, sub, grid, message):
+        cfg = write_config(tmp_path, grid)
+        out = tmp_path / "out"
+        result = run_cli_capped(sub, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == EXIT_RANGE, result.stderr
+        assert message in result.stderr
+        assert list(out.iterdir()) == []
+
+    def test_grid_cap_admits_its_largest_grid(self):
+        cfg = {"sweep_values": None, "sweep_start": 0.0,
+               "sweep_stop": MAX_SWEEP_POINTS - 1.0, "sweep_step": 1.0}
+        assert len(sweep_values_from(cfg, (1.0, 2.0))) == MAX_SWEEP_POINTS
+        cfg["sweep_stop"] = float(MAX_SWEEP_POINTS)
+        with pytest.raises(ValueError, match="more than 100000 points"):
+            sweep_values_from(cfg, (1.0, 2.0))
+
+    def test_log_level_applies_in_process(self, tmp_path, monkeypatch,
+                                          caplog):
+        # pytest's root handler makes logging.basicConfig a no-op, as any
+        # handler an embedding program installs would.
+        monkeypatch.setenv("CRFLIGHT_LOG", "INFO")
+        out = tmp_path / "out"
+        assert main(["sweep-l", "--out", str(out)]) == EXIT_OK
+        wrote = [r.getMessage() for r in caplog.records
+                 if r.name == "crflight" and r.levelname == "INFO"]
+        assert wrote == [f"wrote {out / 'sweep_l.csv'}",
+                         f"wrote {out / 'run-manifest.json'}"]
 
     def test_unknown_log_level_is_config_error(self, tmp_path, monkeypatch,
                                                capsys):

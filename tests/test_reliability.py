@@ -7,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping
-from crflight.model import HOLE_SIDE_FRACTION, PhysicalParams
+from crflight.model import HOLE_SIDE_FRACTION, CreEvent, PhysicalParams
 from crflight.reliability import (FRAME_HEIGHT_CELLS, FRAME_WIDTH_CELLS,
                                   HOLE_CELLS, ReliabilityParams,
                                   _trial_failures, failure_probability,
                                   monte_carlo_failure, p_few_hits)
+from crflight.simulate import UnescapableError, plan_flight, simulate
 
 
 def mpmath_poisson_cdf(k, mean):
@@ -230,3 +231,43 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"lambda_per_s \* tau_s = 1e\+300"):
             monte_carlo_failure(self.m, self.p, ReliabilityParams(1e300, 1.0, 2),
                                 10, seed=1)
+
+
+class TestSimulatorModeOracle:
+    """Simulator-mode flags against the full flight report: a trial fails
+    when d - 1 or more strikes arrive, when the planner finds no escape, or
+    when ``simulate`` reports any qubit of the chip lost."""
+
+    def test_matches_simulate_report(self):
+        r = ReliabilityParams(3.0, 0.5, 4)
+        n = 120
+        kinds = set()
+        for v_p, delta, r_max in ((2.5, 1.5, 8.0),   # the benchmark's physics
+                                  (0.5, 1.0, 6.0),   # the README's chip
+                                  (1.0, 1.0, 5.0)):
+            p = PhysicalParams(1.0, 4, v_p, delta, 1.0, r_max)
+            for side, seed in ((1, 3), (2, 5), (3, 8), (4, 13)):
+                m = build_mapping(side, side, p)
+                point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
+                u = np.random.Generator(np.random.Philox(point_seed)).random(
+                    (n, 2))
+                counts = np.random.Generator(np.random.Philox(
+                    count_seed)).poisson(r.lambda_per_s * r.tau_s, n)
+                want = []
+                for i in range(n):
+                    event = CreEvent(float(u[i, 0] * m.width_mm),
+                                     float(u[i, 1] * m.height_mm), 0.0)
+                    try:
+                        plan = plan_flight(m, event, p)
+                        outcome = simulate(m, event, p, plan)
+                        lost = not all(outcome.survived.values())
+                        if plan.fallback_qubits:
+                            kinds.add("fallback")
+                        kinds.add("lost" if lost else "survived")
+                    except UnescapableError:
+                        lost = True
+                        kinds.add("unescapable")
+                    want.append(bool(counts[i] >= r.d - 1) or lost)
+                got = _trial_failures(m, p, r, n, seed, "simulator")
+                assert got.tolist() == want, (v_p, side)
+        assert kinds == {"unescapable", "fallback", "lost", "survived"}

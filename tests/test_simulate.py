@@ -556,6 +556,31 @@ class TestReferencePlanner:
         assert any(isinstance(o, MovePlan) and len(o.steps) > 20
                    for o in outcomes)
 
+    def test_matches_reference_on_monte_carlo_traffic(self):
+        # Simulator-mode Monte Carlo's traffic in the benchmark: 1x1 to 4x4
+        # chips, d = 4, v_p 2.5, r_max 8, delta 1.5, uniform strikes at t0 0.
+        rng = random.Random(21)
+        p = params(d=4, v_p=2.5, delta=1.5, r_max=8.0)
+        mappings = [build_mapping(n, n, p) for n in range(1, 5)]
+        outcomes = []
+        for _ in range(400):
+            m = rng.choice(mappings)
+            event = CreEvent(rng.uniform(0.0, m.width_mm),
+                             rng.uniform(0.0, m.height_mm), 0.0)
+            results = []
+            for planner in (plan_flight, reference_plan_flight):
+                try:
+                    results.append(planner(m, event, p))
+                except UnescapableError as exc:
+                    results.append(exc.qubit_id)
+            assert results[0] == results[1], (m.rows, event)
+            outcomes.append(results[0])
+        assert any(isinstance(o, int) for o in outcomes)
+        assert any(isinstance(o, MovePlan) and o.fallback_qubits
+                   for o in outcomes)
+        assert any(isinstance(o, MovePlan) and o.steps and not o.fallback_qubits
+                   for o in outcomes)
+
 
 # The module, which the package's simulate function shadows as an attribute.
 SIMULATE_MODULE = importlib.import_module("crflight.simulate")
