@@ -209,6 +209,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"crflight: range error: {exc}", file=sys.stderr)
         return EXIT_RANGE
+    except MemoryError as exc:  # a size numpy cannot allocate
+        print(f"crflight: range error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RANGE
     except OSError as exc:
         print(f"crflight: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -73,12 +73,6 @@ class LatticePoint:
     x: int
     y: int
 
-    def physical(self, l_mm: float) -> Tuple[float, float]:
-        return (self.x * l_mm, self.y * l_mm)
-
-    def translated(self, dx: int, dy: int) -> "LatticePoint":
-        return LatticePoint(self.x + dx, self.y + dy)
-
 
 @dataclass(frozen=True)
 class Hole:
@@ -110,15 +104,6 @@ class LogicalQubit:
         a = self.anchor
         return (Hole(a), Hole(LatticePoint(a.x + self.code_distance, a.y)))
 
-    def all_points(self) -> Tuple[LatticePoint, ...]:
-        """Both hole centers and the string between them, in x order."""
-        a = self.anchor
-        return tuple(LatticePoint(a.x + k, a.y)
-                     for k in range(self.code_distance + 1))
-
-    def translated(self, dx: int, dy: int) -> "LogicalQubit":
-        return LogicalQubit(self.anchor.translated(dx, dy), self.code_distance)
-
 
 @dataclass(frozen=True)
 class CreEvent:
@@ -133,9 +118,6 @@ class CreEvent:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-
-    def distance_mm(self, point_mm: Tuple[float, float]) -> float:
-        return math.hypot(point_mm[0] - self.x_mm, point_mm[1] - self.y_mm)
 
 
 def phonon_radius(event: CreEvent, p: PhysicalParams, t: float) -> float:

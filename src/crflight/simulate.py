@@ -26,10 +26,10 @@ import io
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .mapping import Mapping
-from .model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint, LogicalQubit,
+from .model import (HOLE_SIDE_FRACTION, CreEvent, LogicalQubit,
                     PhysicalParams, phonon_radius, string_clearance_at,
                     string_clearance_mm)
 
@@ -138,7 +138,7 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     taken is the nearest safe one whose legs no other hole blocks and whose
     channel stopover the front does not overrun during the d cycles the
     qubit waits there, judged by the simulator's own closed form
-    (``_span_crossing``); if every safe route's stopover is overrun, the
+    (``_crossing``); if every safe route's stopover is overrun, the
     nearest safe route is the fallback, listed in ``fallback_qubits``. Ties
     go to the lower channel, then the lower x. Raises UnescapableError when
     a threatened qubit has no safe in-bounds target, and ValueError when p's
@@ -233,23 +233,6 @@ def displacement_plan(qubit_id: int, q: LogicalQubit, dx_units: int,
         for k, h in enumerate(q.holes)))
 
 
-def _positions_over_time(q: LogicalQubit, plan_steps: Sequence[MoveStep]):
-    """(start_cycle, qubit-at-anchor) checkpoints, first entry the origin.
-
-    Taken in start order, each step implies the qubit's anchor: its target
-    less hole_index * d along x. The qubit holds that anchor from the step's
-    start cycle, so a two-batch horizontal run counts as translated from its
-    first batch.
-    """
-    d = q.code_distance
-    out = [(-math.inf, q)]
-    for s in sorted(plan_steps, key=lambda step: step.start_cycle):
-        anchor = LatticePoint(s.target[0] - s.hole_index * d, s.target[1])
-        if anchor != out[-1][1].anchor:
-            out.append((s.start_cycle, LogicalQubit(anchor, d)))
-    return out
-
-
 def _crossing(thr: float, start: float, end: float, event: CreEvent,
               p: PhysicalParams) -> Optional[float]:
     """First time the strike's front overwhelms a string of clearance thr
@@ -266,29 +249,34 @@ def _crossing(thr: float, start: float, end: float, event: CreEvent,
     return t if t < end and t <= t0 + p.t_dissipate_cycles else None
 
 
-def _span_crossing(q: LogicalQubit, start: float, end: float,
-                   event: CreEvent, p: PhysicalParams) -> Optional[float]:
-    """``_crossing`` for q's string, q held still over [start, end)."""
-    return _crossing(string_clearance_mm(q, event, p.l_mm), start, end, event, p)
-
-
 def _destruction_times(m: Mapping, event: CreEvent, p: PhysicalParams,
                        plan: MovePlan) -> Dict[int, float]:
     """Cycle at which each lost qubit is lost, in id order.
 
-    Each position span [start, end) a qubit holds is judged in closed form
-    by ``_span_crossing``, with the string rule; a qubit that neither moves
-    nor is near the strike survives. ValueError if p is not the mapping's.
+    A qubit holds its mapped anchor, then, taking its steps in start order,
+    the anchor each step implies: the step's target less hole_index * d
+    along x, held from its start cycle, so a two-batch horizontal run counts
+    as translated from its first batch. Each span [start, end) is judged in
+    closed form by ``_crossing``, with the string rule; a qubit that neither
+    moves nor is near the strike survives. ValueError if p is not the
+    mapping's.
     """
+    d = p.d
     steps_by_qubit: Dict[int, List[MoveStep]] = {}
-    for s in plan.steps:
+    for s in sorted(plan.steps, key=lambda step: step.start_cycle):
         steps_by_qubit.setdefault(s.qubit_id, []).append(s)
     destroyed_at: Dict[int, float] = {}
     for qid in sorted(steps_by_qubit.keys() | _near_qubits(m, event, p)):
-        spans = _positions_over_time(m.qubits[qid], steps_by_qubit.get(qid, ()))
-        for k, (start, moved) in enumerate(spans):
+        a = m.qubits[qid].anchor
+        spans = [(-math.inf, a.x, a.y)]
+        for s in steps_by_qubit.get(qid, ()):
+            x, y = s.target[0] - s.hole_index * d, s.target[1]
+            if (x, y) != spans[-1][1:]:
+                spans.append((s.start_cycle, x, y))
+        for k, (start, x, y) in enumerate(spans):
             end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-            t = _span_crossing(moved, start, end, event, p)
+            t = _crossing(string_clearance_at(x, y, d, event, p.l_mm), start,
+                          end, event, p)
             if t is not None:
                 destroyed_at[qid] = t
                 break
@@ -310,8 +298,8 @@ def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
     for s in plan.steps:
         timeline.append((s.start_cycle, "move_start", s.qubit_id,
                          f"hole{s.hole_index}->{s.target[0]},{s.target[1]}"))
-        timeline.append((s.start_cycle + m.qubits[s.qubit_id].code_distance,
-                         "move_complete", s.qubit_id, f"hole{s.hole_index}"))
+        timeline.append((s.start_cycle + p.d, "move_complete", s.qubit_id,
+                         f"hole{s.hole_index}"))
     timeline += [(t, "destroyed", qid, f"radius={phonon_radius(event, p, t):g}mm")
                  for qid, t in destroyed_at.items()]
     td = p.t_dissipate_cycles

@@ -352,6 +352,20 @@ class TestReliabilityCommand:
         # the message names the key at fault
         assert line.split(" = ")[0] in capsys.readouterr().err
 
+    # numpy cannot allocate 1e12 tau points or trials (7.28 and 14.6 TiB);
+    # its MemoryError once escaped main as a traceback with exit 1.
+    @pytest.mark.parametrize("line", ["tau_points = 1000000000000",
+                                      "n_trials = 1000000000000"],
+                             ids=["tau-points", "n-trials"])
+    def test_unallocatable_size_is_range_error(self, tmp_path, line):
+        cfg = write_config(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        result = run_cli_capped("reliability", "--config", str(cfg), "--out",
+                                str(out))
+        assert result.returncode == EXIT_RANGE, result.stderr
+        assert "range error: out of memory" in result.stderr
+        assert list(out.iterdir()) == []
+
 
 class TestReplicateCommand:
     def test_error_in_later_sweep_leaves_no_csv(self, tmp_path, monkeypatch):

@@ -19,10 +19,10 @@ def brute_force_compromised(front, q, t):
     r = phonon_radius(event, params, t)
     ex, ey = event.x_mm, event.y_mm
     l = params.l_mm
+    a = q.anchor
     n = 0
-    for p in q.all_points()[1:-1]:
-        px, py = p.physical(l)
-        if math.hypot(px - ex, py - ey) < r:
+    for k in range(1, q.code_distance):
+        if math.hypot((a.x + k) * l - ex, a.y * l - ey) < r:
             n += 1
     return n
 
@@ -135,7 +135,7 @@ class TestCompromisedCount:
         q = LogicalQubit(LatticePoint(x, y), d)
         event = CreEvent(ex, ey)
         assert string_clearance_mm(q, event, l) == max(
-            event.distance_mm(pt.physical(l)) for pt in q.all_points()[1:-1])
+            math.hypot((x + k) * l - ex, y * l - ey) for k in range(1, d))
 
 
 class TestDestruction:
@@ -162,16 +162,6 @@ class TestCreEvent:
 
 
 class TestGeometryTypes:
-    def test_lattice_point_physical(self):
-        assert LatticePoint(3, -2).physical(0.5) == (1.5, -1.0)
-
-    def test_string_has_d_minus_1_points(self):
-        q = LogicalQubit(LatticePoint(2, 3), 7)
-        pts = q.all_points()[1:-1]
-        assert len(pts) == 6
-        assert pts[0] == LatticePoint(3, 3)
-        assert pts[-1] == LatticePoint(8, 3)
-
     def test_dissipation_time(self):
         assert params().t_dissipate_cycles == pytest.approx(25.2)
         assert math.isinf(params(v_p=0).t_dissipate_cycles)

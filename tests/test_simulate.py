@@ -14,7 +14,7 @@ from crflight.model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint,
                             LogicalQubit, PhysicalParams, phonon_radius,
                             string_clearance_mm)
 from crflight.simulate import (MovePlan, MoveStep, UnescapableError,
-                               _near_qubits, _span_crossing, detect,
+                               _crossing, _near_qubits, detect,
                                displacement_plan, is_safe_position,
                                plan_flight, simulate)
 from crflight.solver import (HALF_D_MM, HALF_SEPARATION, HALFWAY,
@@ -31,8 +31,15 @@ def brute_force_compromised(front, q, t):
     r = phonon_radius(event, params, t)
     ex, ey = event.x_mm, event.y_mm
     l = params.l_mm
-    return sum(math.hypot(px - ex, py - ey) < r
-               for px, py in (pt.physical(l) for pt in q.all_points()[1:-1]))
+    a = q.anchor
+    return sum(math.hypot((a.x + k) * l - ex, a.y * l - ey) < r
+               for k in range(1, q.code_distance))
+
+
+def translated(q, dx, dy):
+    """The qubit q moved by (dx, dy) lattice units."""
+    return LogicalQubit(LatticePoint(q.anchor.x + dx, q.anchor.y + dy),
+                        q.code_distance)
 
 
 class TestDetect:
@@ -252,8 +259,9 @@ class TestSimulate:
     def test_stationary_qubit_on_epicenter_destroyed(self):
         p = params(r_max=100.0)
         m = build_mapping(1, 1, p)
-        hx, hy = m.qubits[0].holes[0].center.physical(p.l_mm)
-        outcome = simulate(m, CreEvent(hx, hy), p, MovePlan())
+        hole = m.qubits[0].holes[0].center
+        outcome = simulate(m, CreEvent(hole.x * p.l_mm, hole.y * p.l_mm), p,
+                           MovePlan())
         assert outcome.survived[0] is False
         assert 0 in outcome.destroyed_at
 
@@ -366,7 +374,7 @@ class TestContinuousTime:
         t_end = t0 + p.t_dissipate_cycles
 
         def at(t):
-            return q if t < t_move else q.translated(dx, dy)
+            return q if t < t_move else translated(q, dx, dy)
 
         def overwhelmed(t, pos):
             return brute_force_compromised(front, pos, t) >= d - 1
@@ -471,8 +479,9 @@ def reference_plan_flight(m, event, p):
     threatened = [(qid, q) for qid, q in enumerate(m.qubits)
                   if not is_safe_position(q, event, p)]
     threatened.sort(key=lambda item: (
-        min(event.distance_mm(pt.physical(p.l_mm))
-            for pt in item[1].all_points()),
+        min(math.hypot((item[1].anchor.x + k) * p.l_mm - event.x_mm,
+                       item[1].anchor.y * p.l_mm - event.y_mm)
+            for k in range(d + 1)),
         item[0]))
     occupancy = {qid: ((q.anchor.x, q.anchor.y), (q.anchor.x + d, q.anchor.y))
                  for qid, q in enumerate(m.qubits)}
@@ -483,14 +492,15 @@ def reference_plan_flight(m, event, p):
         candidates = sorted((math.hypot(x2 - x, y2 - y), y2, x2)
                             for y2 in channels
                             for x2 in range(0, m.width_units - d + 1))
-        overrun = {y2: _span_crossing(q.translated(0, y2 - y), t_move,
-                                      t_move + d, event, p) is not None
+        overrun = {y2: _crossing(string_clearance_mm(translated(q, 0, y2 - y),
+                                                     event, p.l_mm),
+                                 t_move, t_move + d, event, p) is not None
                    for y2 in channels}
         obstacles = [h for other, hs in occupancy.items() if other != qid
                      for h in hs]
         chosen = fallback = None
         for _, y2, x2 in candidates:
-            if not is_safe_position(q.translated(x2 - x, y2 - y), event, p):
+            if not is_safe_position(translated(q, x2 - x, y2 - y), event, p):
                 continue
             if any(leg_blocked(a, b, obstacles) for a, b in (
                     ((x, y), (x, y2)), ((x + d, y), (x + d, y2)),
@@ -664,6 +674,71 @@ class TestCullingOracle:
             assert (plan == MovePlan()) is safe
             outcome = simulate(m, event, p, MovePlan())
             assert outcome.survived == {0: safe}
+
+
+def reference_destruction_times(m, event, p, plan):
+    """Independent oracle: the span walk over LogicalQubit objects. Every
+    qubit holds its mapped position, then, in step start order, the qubit
+    anchored at each step's target less hole_index * d along x; each span is
+    judged by string_clearance_mm and _crossing."""
+    destroyed_at = {}
+    for qid, q in enumerate(m.qubits):
+        d = q.code_distance
+        spans = [(-math.inf, q)]
+        for s in sorted((s for s in plan.steps if s.qubit_id == qid),
+                        key=lambda s: s.start_cycle):
+            anchor = LatticePoint(s.target[0] - s.hole_index * d, s.target[1])
+            if anchor != spans[-1][1].anchor:
+                spans.append((s.start_cycle, LogicalQubit(anchor, d)))
+        for k, (start, moved) in enumerate(spans):
+            end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
+            t = _crossing(string_clearance_mm(moved, event, p.l_mm), start,
+                          end, event, p)
+            if t is not None:
+                destroyed_at[qid] = t
+                break
+    return destroyed_at
+
+
+class TestSpanWalkOracle:
+    """simulate's destruction times, values and order, against the span walk
+    over LogicalQubit objects, for the empty, a displacement and the
+    planner's plan, and for the planner's steps in any order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), d=st.integers(2, 6),
+           l=st.sampled_from((0.5, 1.0, 2.0)),
+           v_p=st.sampled_from((0.05, 2.5)) | st.floats(0.1, 3.0),
+           delta=st.floats(0.0, 5.0), r_max=st.floats(0.5, 20.0),
+           t0=st.sampled_from((0.0, 7.0)) | st.floats(0.0, 50.0),
+           fx=st.floats(-0.2, 1.2), fy=st.floats(-0.2, 1.2),
+           shift=st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+           order=st.randoms(use_true_random=False))
+    # the planner's route: a vertical batch, then a two-batch run, and the
+    # front overruns the stopover at t = sqrt(20)
+    @example(rows=1, cols=1, d=4, l=1.0, v_p=1.0, delta=1.0, r_max=5.0,
+             t0=0.0, fx=5 / 12, fy=0.5, shift=(0, -4),
+             order=random.Random(1))
+    def test_matches_object_walk(self, rows, cols, d, l, v_p, delta, r_max,
+                                 t0, fx, fy, shift, order):
+        p = params(l=l, d=d, v_p=v_p, delta=delta, r_max=r_max)
+        m = build_mapping(rows, cols, p)
+        event = CreEvent(fx * m.width_mm, fy * m.height_mm, t0)
+        qid = len(m.qubits) // 2
+        plans = [MovePlan(), displacement_plan(qid, m.qubits[qid], *shift,
+                                               detect(event, p) + 1.0)]
+        try:
+            plans.append(plan_flight(m, event, p))
+        except UnescapableError:
+            pass
+        for plan in plans:
+            want = list(reference_destruction_times(m, event, p, plan).items())
+            got = simulate(m, event, p, plan).destroyed_at
+            assert list(got.items()) == want
+            steps = list(plan.steps)
+            order.shuffle(steps)
+            got = simulate(m, event, p, MovePlan(tuple(steps))).destroyed_at
+            assert list(got.items()) == want
 
 
 def reference_event_log_csv(timeline):
