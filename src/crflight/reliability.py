@@ -16,6 +16,7 @@ alone, so it counts no hole hits and answers a different question.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Tuple
 
@@ -59,7 +60,8 @@ class ReliabilityParams:
 def p_few_hits(d: int, lambda_per_s: float, tau_s: float) -> float:
     """P[N <= d - 2] for N ~ Poisson(lambda * tau).
 
-    Computed with the stable term recurrence term_{k+1} = term_k * m/(k+1).
+    Computed with the stable term recurrence term_{k+1} = term_k * m/(k+1),
+    or, where its start exp(-m) is not a normal float, each term from its log.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -67,11 +69,17 @@ def p_few_hits(d: int, lambda_per_s: float, tau_s: float) -> float:
     if not m >= 0:  # NaN too, as from inf * 0
         raise ValueError(f"lambda * tau must be >= 0, got {m}")
     if m == math.inf:
-        return 0.0  # the recurrence would compute exp(-inf) * inf = NaN
-    term = math.exp(-m)
-    total = term
-    for k in range(1, d - 1):
-        term *= m / k
+        return 0.0  # every term is 0.0; m - 40 sqrt(m) below has no floor
+    # Where exp(-m) is not a normal float, each term comes from its log, from
+    # k = m - 40 sqrt(m) on: the terms below sum to under e^-800 (Chernoff).
+    logs = math.exp(-m) < sys.float_info.min
+    k0 = max(0, math.floor(m - 40 * math.sqrt(m))) if logs else 1
+    term = total = 0.0 if logs else math.exp(-m)
+    for k in range(k0, d - 1):
+        term = (math.exp(k * math.log(m) - m - math.lgamma(k + 1)) if logs
+                else term * (m / k))
+        if term == 0.0 and k > m:
+            break  # past the mode, every later term is 0.0 too
         total += term
     return min(total, 1.0)
 

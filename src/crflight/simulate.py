@@ -112,20 +112,21 @@ def _near_qubits(m: Mapping, event: CreEvent, p: PhysicalParams) -> List[int]:
     return sorted(near)
 
 
-def _leg_blocked(a: Tuple[int, int], b: Tuple[int, int],
-                 rows: Dict[int, List[int]], d: int) -> bool:
-    """True iff a hole footprint swept along the axis-aligned leg a -> b
-    overlaps the footprint of any obstacle hole center. ``rows`` maps each
-    row y to the sorted x's of the obstacle holes in it."""
+def _legs_blocked(x: int, y: int, x2: int, y2: int,
+                  rows: Dict[int, List[int]], d: int) -> bool:
+    """True iff either hole footprint of the qubit anchored at (x, y), swept
+    along the axis-aligned leg to the anchor (x2, y2), overlaps the footprint
+    of any obstacle hole center. ``rows`` maps each row y to the sorted x's
+    of the obstacle holes in it."""
     s = d * HOLE_SIDE_FRACTION
-    x_lo, x_hi = min(a[0], b[0]) - s, max(a[0], b[0]) + s
-    y_lo, y_hi = min(a[1], b[1]) - s, max(a[1], b[1]) + s
-    for hy in range(math.floor(y_lo) + 1, math.ceil(y_hi)):
+    x_lo, x_hi = min(x, x2) - s, max(x, x2) + s  # hole 1's box is d further
+    for hy in range(math.floor(min(y, y2) - s) + 1, math.ceil(max(y, y2) + s)):
         xs = rows.get(hy)
         if xs:
-            i = bisect_right(xs, x_lo)
-            if i < len(xs) and xs[i] < x_hi:
-                return True
+            for dx in (0, d):
+                i = bisect_right(xs, x_lo + dx)
+                if i < len(xs) and xs[i] < x_hi + dx:
+                    return True
     return False
 
 
@@ -158,53 +159,43 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     # Current hole centers by row, sorted by x; updated as targets are chosen.
     rows = {y: list(holes) for y, (_, _, holes) in m.row_index[1].items()}
 
+    def nearest(x: int, channels: List[int]) -> Optional[Tuple[int, int]]:
+        # Walk outward: targets k columns from x (k = 0 once) lie hypot(k, d)
+        # away, taken in (y2, x2) order. A swept leg's box only grows with k,
+        # so a direction out of bounds or with a blocked leg drops for good.
+        live = [(y2, sign) for y2 in channels for sign in (-1, 1)]
+        k = max(0, -x, x - x_max)  # the first k with a target in bounds
+        while live:
+            for dr in list(live):
+                y2, sign = dr
+                x2 = x + sign * k
+                if k == 0 < sign:
+                    continue
+                if not 0 <= x2 <= x_max:
+                    live.remove(dr)
+                elif string_clearance_at(x2, y2, d, event, l) >= p.r_max_mm:
+                    if not _legs_blocked(x, y2, x2, y2, rows, d):
+                        return x2, y2
+                    live.remove(dr)
+            k += 1
+        return None
+
     steps: List[MoveStep] = []
     fallback_qubits: List[int] = []
     for qid, a in threatened:
         x, y = a.x, a.y
         rows[y].remove(x)
         rows[y].remove(x + d)
-        channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units]
+        # Channels whose vertical legs are open, whatever the target column.
+        channels = [y2 for y2 in (y - d, y + d) if 0 <= y2 <= m.height_units
+                    and not _legs_blocked(x, y, x, y2, rows, d)]
         # Whether the front overruns the stopover at (x, y2) during the d
         # cycles before the horizontal run leaves it.
         overrun = {y2: _crossing(string_clearance_at(x, y2, d, event, l),
                                  t_move, t_move + d, event, p) is not None
                    for y2 in channels}
-        # Walk outward: targets k columns from x (k = 0 once) lie hypot(k, d)
-        # away, taken in (y2, x2) order. A swept leg's box only grows with k,
-        # so a blocked leg drops its direction, or its channel if vertical.
-        live = [(y2, sign) for y2 in channels for sign in (-1, 1)]
-        vertical_blocked: Dict[int, bool] = {}
-        chosen = fallback = None
-        k = max(0, -x, x - x_max)  # the first k with a target in bounds
-        while live and chosen is None:
-            for dr in list(live):
-                y2, sign = dr
-                x2 = x + sign * k
-                if dr not in live or k == 0 < sign:
-                    continue
-                if not 0 <= x2 <= x_max or fallback and overrun[y2]:
-                    live.remove(dr)  # for good, or no better than the fallback
-                    continue
-                if string_clearance_at(x2, y2, d, event, l) < p.r_max_mm:
-                    continue  # not a safe position
-                if y2 not in vertical_blocked:
-                    vertical_blocked[y2] = any(
-                        _leg_blocked((hx, y), (hx, y2), rows, d)
-                        for hx in (x, x + d))
-                if vertical_blocked[y2]:
-                    live = [other for other in live if other[0] != y2]
-                elif any(_leg_blocked((hx, y2), (hx + x2 - x, y2), rows, d)
-                         for hx in (x, x + d)):
-                    live.remove(dr)
-                else:
-                    # Prefer a stopover the front does not overrun.
-                    fallback = fallback or (x2, y2)
-                    if not overrun[y2]:
-                        chosen = (x2, y2)
-                        break
-            k += 1
-        chosen = chosen or fallback
+        chosen = (nearest(x, [y2 for y2 in channels if not overrun[y2]])
+                  or nearest(x, [y2 for y2 in channels if overrun[y2]]))
         if chosen is None:
             raise UnescapableError(qid)
 

@@ -12,8 +12,8 @@ import pytest
 
 import crflight
 from crflight import solver
-from crflight.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RANGE, EXIT_UNESCAPABLE,
-                          main)
+from crflight.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RANGE,
+                          EXIT_UNESCAPABLE, main)
 from crflight.config import (MAX_SWEEP_POINTS, ConfigError, parse_config,
                              sweep_values_from)
 from crflight.solver import read_sweep_csv
@@ -69,9 +69,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    def test_bad_value_rejected(self, tmp_path):
-        path = write_config(tmp_path, "d = eleven\n")
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("text, message", [
+        ("d = eleven\n", "bad value for d"),
+        ("l_mm 2\n", "expected key=value")], ids=["bad-value", "no-equals"])
+    def test_bad_value_rejected(self, tmp_path, text, message):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: " + message):
             parse_config(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -102,6 +105,13 @@ class TestConfig:
         # Each of these once swept the default grid in unit steps.
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match="sweep_start and sweep_stop"):
+            sweep_values_from(parse_config(path), (5.0, 9.0))
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_non_positive_step_rejected(self, tmp_path, step):
+        path = write_config(tmp_path, "sweep_start = 1\nsweep_stop = 3\n"
+                            f"sweep_step = {step}\n")
+        with pytest.raises(ConfigError, match="sweep_step must be > 0"):
             sweep_values_from(parse_config(path), (5.0, 9.0))
 
     def test_explicit_values_win_over_half_given_grid(self, tmp_path):
@@ -228,6 +238,13 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert "config error" in err and "CRFLIGHT_LOG" in err
         assert list(out.iterdir()) == []
+
+    def test_out_naming_a_file_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main(["sweep-l", "--out", str(out)]) == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "bogus = 1\n")

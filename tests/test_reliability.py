@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -60,6 +61,22 @@ class TestPoissonTail:
             got = p_few_hits(d, mean, 1.0)
             want = mpmath_poisson_cdf(d - 2, mean)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("d, mean", [(800, 720.0), (800, 740.0),
+                                         (900, 744.0), (2000, 1000.0)])
+    def test_matches_reference_sum_where_exp_underflows(self, d, mean):
+        # exp(-mean) is subnormal above mean ~708 and 0.0 above ~745. A sum
+        # started from it lost precision (2.6e-3 at (800, 740)), then gave
+        # 0.0 where the answer is 1.0.
+        want = mpmath_poisson_cdf(d - 2, mean)
+        assert p_few_hits(d, mean, 1.0) == pytest.approx(want, rel=1e-9)
+
+    def test_stops_once_terms_reach_zero(self):
+        # The loop once ran d - 1 times after its terms reached 0.0, which
+        # took about 8 s at this d.
+        start = time.perf_counter()
+        assert p_few_hits(10**8, 0.1, 1.0) == p_few_hits(1000, 0.1, 1.0)
+        assert time.perf_counter() - start < 1.0
 
     @given(st.integers(2, 100), st.floats(0.0, 20.0))
     def test_monotone_in_d(self, d, mean):

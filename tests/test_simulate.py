@@ -591,6 +591,61 @@ class TestReferencePlanner:
         assert any(isinstance(o, MovePlan) and o.steps and not o.fallback_qubits
                    for o in outcomes)
 
+    def test_blocked_vertical_legs_close_a_channel(self):
+        # Qubit 1 sits two rows above qubit 0, across both of its upward
+        # legs, so qubit 0 must flee down, not through qubit 1 into row 12.
+        p = params(d=4, v_p=0.05, delta=1.0, r_max=7.0)
+        m = Mapping(1, 1, p, (LogicalQubit(LatticePoint(8, 8), 4),
+                              LogicalQubit(LatticePoint(8, 10), 4)), 30, 20)
+        event = CreEvent(10.0, 6.0)
+        plan = plan_flight(m, event, p)
+        assert plan == reference_plan_flight(m, event, p)
+        mine = [s.target for s in plan.steps if s.qubit_id == 0]
+        assert mine[:2] == [(8, 4), (12, 4)] and (2, 4) in mine
+        assert all(y2 != 12 for _, y2 in mine)
+
+    def test_walk_starts_at_first_column_in_bounds(self):
+        # An anchor two columns left of the chip: its nearest targets lie
+        # k = 2 columns right, and the walk must not drop that direction
+        # while k is too small to reach the chip.
+        p = params(d=4, v_p=0.05, delta=1.0, r_max=3.0)
+        m = Mapping(1, 1, p, (LogicalQubit(LatticePoint(-2, 8), 4),), 30, 20)
+        event = CreEvent(0.0, 8.0)
+        plan = plan_flight(m, event, p)
+        assert plan == reference_plan_flight(m, event, p)
+        assert plan.steps[-1].target == (0, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(2, 6),
+           anchor=st.tuples(st.integers(-4, 24), st.integers(-4, 24)),
+           size=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+           second=st.none() | st.tuples(st.integers(-12, 12),
+                                        st.integers(1, 5), st.booleans()),
+           v_p=st.sampled_from((0.0, 0.05, 0.3, 2.5)), delta=eighths(0.0, 3.0),
+           r_max=eighths(0.0, 12.0), fx=st.floats(-0.1, 1.1),
+           fy=st.floats(-0.1, 1.1))
+    def test_matches_reference_on_drawn_chips(self, d, anchor, size, second,
+                                              v_p, delta, r_max, fx, fy):
+        # One qubit anywhere on a frame of any size, anchors off the chip
+        # included, or two whose rows lie 1 to d - 1 apart, so that one
+        # qubit's holes can block the other's vertical legs.
+        p = params(d=d, v_p=v_p, delta=delta, r_max=r_max)
+        qubits = [LogicalQubit(LatticePoint(*anchor), d)]
+        if second is not None:
+            dx, dy, below = second
+            dy = 1 + (dy - 1) % (d - 1)
+            qubits.append(LogicalQubit(LatticePoint(
+                anchor[0] + dx, anchor[1] + (-dy if below else dy)), d))
+        m = Mapping(1, 1, p, tuple(qubits), *size)
+        event = CreEvent(fx * max(m.width_mm, 1.0), fy * max(m.height_mm, 1.0))
+        results = []
+        for planner in (plan_flight, reference_plan_flight):
+            try:
+                results.append(planner(m, event, p))
+            except UnescapableError as exc:
+                results.append(exc.qubit_id)
+        assert results[0] == results[1]
+
 
 # The module, which the package's simulate function shadows as an attribute.
 SIMULATE_MODULE = importlib.import_module("crflight.simulate")
