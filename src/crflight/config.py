@@ -33,7 +33,7 @@ KNOWN_KEYS = {
     "t_c_us": (float, 1.0),
     "r_max_mm": (float, 63.0),
     "move_displacement_mm": (float, 1.0),
-    "d": (int, 11),
+    "d": (int, 69),
     "d_max": (int, DEFAULT_D_MAX),
     "x0_convention": (str, HALF_D_MM),
     "scenario": (str, "both"),           # halfway | at_hole | both

@@ -14,7 +14,7 @@ functions take both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 # A hole's footprint is an axis-aligned square of side d/4 lattice units.
@@ -65,7 +65,8 @@ class PhysicalParams:
         return math.inf if per_cycle == 0 else self.r_max_mm / per_cycle
 
     def with_d(self, d: int) -> "PhysicalParams":
-        return replace(self, d=d)
+        return PhysicalParams(self.l_mm, d, self.v_p_mm_per_us, self.delta_cycles,
+                              self.t_c_us, self.r_max_mm, self.move_displacement_mm)
 
 
 @dataclass(frozen=True)

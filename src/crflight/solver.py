@@ -85,6 +85,11 @@ def min_code_distance(p: PhysicalParams, s: StrikeScenario,
     """
     if d_max < 2:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
+    if d_max > 2 ** 53:  # past 2**53, consecutive d are no longer distinct floats
+        raise ValueError(f"d_max must be <= 2**53, got {d_max}")
+    # x0 and l*(d - 1) never fall as d grows: infeasible at d_max is infeasible below.
+    if not check_feasibility(p.with_d(d_max), s):
+        return None
     for d in range(2, d_max + 1):
         if check_feasibility(p.with_d(d), s):
             return d

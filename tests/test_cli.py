@@ -47,7 +47,7 @@ def run_cli_capped(*args):
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = parse_config(None)
-        assert cfg["d"] == 11
+        assert cfg["d"] == 69
         assert cfg["r_max_mm"] == 63.0
         assert cfg["seed"] == 0
 
@@ -308,17 +308,33 @@ class TestSimulateCommand:
         assert list(out.iterdir()) == []
 
     def test_unescapable_with_bad_d_max_is_range_error(self, tmp_path, capsys):
-        # naming the solver's minimum d for the exit-4 message needs d_max >= 2
-        cfg = write_config(tmp_path, "d_max = 1\n")
+        # naming the solver's minimum d for the exit-4 message needs
+        # 2 <= d_max <= 2**53; 10**400 once escaped as an OverflowError
+        for d_max, message in (("1", "d_max must be >= 2, got 1"),
+                               ("1" + "0" * 400, "d_max must be <= 2**53")):
+            cfg = write_config(tmp_path, f"d = 11\nd_max = {d_max}\n")
+            out = tmp_path / f"out-{len(d_max)}"
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            assert code == EXIT_RANGE
+            assert message in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
+    def test_defaults_escape(self, tmp_path):
+        # the default d is the solver's answer for the default physics
         out = tmp_path / "out"
-        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert code == EXIT_RANGE
-        assert "d_max must be >= 2, got 1" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert main(["simulate", "--out", str(out)]) == EXIT_OK
+        mapping = json.loads((out / "mapping.json").read_text())
+        rows = list(csv.DictReader(io.StringIO(
+            (out / "event_log.csv").read_text())))
+        assert [q["id"] for q in mapping["qubits"]] == [0]
+        assert [r["qubit_id"] for r in rows if r["event_kind"] == "survived"] == ["0"]
+        assert not any(r["event_kind"] == "destroyed" for r in rows)
 
     def test_unescapable_names_solver_minimum_d(self, tmp_path, capsys):
-        # the documented defaults (d = 11) are below the solver's own answer
-        code = main(["simulate", "--out", str(tmp_path)])
+        # d = 11 is below the solver's own answer for the default physics
+        cfg = write_config(tmp_path, "d = 11\n")
+        code = main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
         assert code == EXIT_UNESCAPABLE
         err = capsys.readouterr().err
         assert "46 (halfway), 69 (at_hole)" in err
@@ -446,8 +462,8 @@ class TestCliDigest:
     CHANGES.md.
     """
 
-    CLI_DIGEST = ("f8c1a98e712427a9355ffaa10c7d65f1"
-                  "830b067bef5b7fe8b0c812df3c23bb83")
+    CLI_DIGEST = ("d91dcffe5c8134e973d22683c87e87a8"
+                  "c4086a19a3b08935c3f24a3b9a73b9b9")
     CONFIGS = ("", "\n".join([
         "d = 4", "rows = 2", "cols = 2", "r_max_mm = 6.0",
         "v_p_mm_per_us = 0.5", "sweep_values = 50, 1, 10", "d_max = 200",

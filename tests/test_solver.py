@@ -1,10 +1,15 @@
+import dataclasses
 import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crflight import solver
 from crflight.model import PhysicalParams
-from crflight.solver import (AT_HOLE, HALFWAY, HALF_SEPARATION, StrikeScenario,
+from crflight.solver import (AT_HOLE, HALFWAY, HALF_D_MM, HALF_SEPARATION,
+                             SCENARIOS, StrikeScenario,
                              check_condition1, check_condition2,
                              check_feasibility, min_code_distance,
                              read_sweep_csv, sweep, write_sweep_csv)
@@ -106,6 +111,64 @@ class TestMinCodeDistance:
     def test_rejects_bad_d_max(self):
         with pytest.raises(ValueError):
             min_code_distance(params(), StrikeScenario(HALFWAY), d_max=1)
+
+    def test_infeasible_point_costs_one_check(self, monkeypatch):
+        # No d up to 10**9 outruns a 10**12 mm storm; a scan over every
+        # candidate would take hours.
+        calls = []
+
+        def counted(p, s):
+            calls.append(p.d)
+            if len(calls) > 5:
+                raise AssertionError("more than five feasibility checks")
+            return check_feasibility(p, s)
+
+        monkeypatch.setattr(solver, "check_feasibility", counted)
+        p = PhysicalParams(1.0, 11, 2.5, 1.0, 1.0, 1e12)
+        assert min_code_distance(p, StrikeScenario(HALFWAY), 10**9) is None
+        assert calls == [10**9]
+
+    def test_rejects_d_max_above_2_53(self):
+        # Above 2**53 consecutive d are no longer distinct floats, and
+        # 10**400 does not convert to one at all.
+        s = StrikeScenario(HALFWAY)
+        assert min_code_distance(params(), s, d_max=2**53) == 46
+        for d_max in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="d_max must be <= 2"):
+                min_code_distance(params(), s, d_max=d_max)
+
+
+# Bounded floats draw no NaN or inf, which PhysicalParams rejects.
+@settings(max_examples=150, deadline=None)
+@given(l=st.floats(0.01, 3.0),
+       v_p=st.one_of(st.just(0.0), st.just(2.5), st.floats(0.0, 10.0)),
+       delta=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       r_max=st.one_of(st.just(0.0), st.just(1e4), st.floats(0.0, 400.0)),
+       dl=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1e6)),
+       kind=st.sampled_from(SCENARIOS),
+       convention=st.sampled_from((HALF_D_MM, HALF_SEPARATION)))
+def test_feasibility_is_never_lost_as_d_grows(l, v_p, delta, r_max, dl, kind,
+                                              convention):
+    # min_code_distance's one check at d_max relies on this.
+    p = params(l=l, v_p=v_p, delta=delta, r_max=r_max, dl=dl)
+    s = StrikeScenario(kind, convention)
+    verdicts = [check_feasibility(p.with_d(d), s) for d in range(2, 601)]
+    assert verdicts == sorted(verdicts)
+
+
+class TestWithD:
+    # with_d lists every field; a new field must be added here and there.
+    FIELDS = ["l_mm", "d", "v_p_mm_per_us", "delta_cycles", "t_c_us",
+              "r_max_mm", "move_displacement_mm"]
+
+    def test_fields_are_the_listed_ones(self):
+        assert [f.name for f in dataclasses.fields(PhysicalParams)] == self.FIELDS
+
+    def test_matches_replace_and_validates(self):
+        p = PhysicalParams(0.7, 5, 1.3, 2.0, 0.9, 17.0, 3.5)
+        assert p.with_d(9) == dataclasses.replace(p, d=9)
+        with pytest.raises(ValueError):
+            p.with_d(1)
 
 
 class TestSweep:
