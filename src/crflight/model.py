@@ -37,8 +37,9 @@ class PhysicalParams:
         # One comparison chain per value, so that NaN and inf fail too.
         if not 0 < self.l_mm < math.inf:
             raise ValueError(f"l_mm must be in (0, inf), got {self.l_mm}")
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
+        # As d_max in the solver: past 2**53 consecutive d collide as floats.
+        if not isinstance(self.d, int) or not 2 <= self.d <= 2 ** 53:
+            raise ValueError(f"d must be an integer in [2, 2**53], got {self.d!r}")
         if not 0 <= self.v_p_mm_per_us < math.inf:
             raise ValueError("v_p_mm_per_us must be in [0, inf), "
                              f"got {self.v_p_mm_per_us}")
@@ -143,16 +144,3 @@ def string_clearance_at(x: int, y: int, d: int, event: CreEvent,
     ex, dy = event.x_mm, y * l_mm - event.y_mm
     return max(math.hypot((x + 1) * l_mm - ex, dy),
                math.hypot((x + d - 1) * l_mm - ex, dy))
-
-
-def string_clearance_mm(q: LogicalQubit, event: CreEvent,
-                        l_mm: float) -> float:
-    """``string_clearance_at`` for the qubit q."""
-    a = q.anchor
-    return string_clearance_at(a.x, a.y, q.code_distance, event, l_mm)
-
-
-def string_overwhelmed(event: CreEvent, p: PhysicalParams, q: LogicalQubit,
-                       t: float) -> bool:
-    """True iff all d - 1 string qubits are strictly inside the disc."""
-    return phonon_radius(event, p, t) > string_clearance_mm(q, event, p.l_mm)

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .mapping import Mapping
 from .model import (HOLE_SIDE_FRACTION, CreEvent, LogicalQubit,
-                    PhysicalParams, phonon_radius, string_clearance_at,
-                    string_clearance_mm)
+                    PhysicalParams, phonon_radius, string_clearance_at)
 
 
 class UnescapableError(Exception):
@@ -90,12 +89,6 @@ def detect(event: CreEvent, p: PhysicalParams) -> float:
     return event.t0_cycles + p.delta_cycles
 
 
-def is_safe_position(q: LogicalQubit, event: CreEvent,
-                     p: PhysicalParams) -> bool:
-    """True iff the string cannot be fully consumed even at radius r_max."""
-    return string_clearance_mm(q, event, p.l_mm) >= p.r_max_mm
-
-
 def _near_qubits(m: Mapping, event: CreEvent, p: PhysicalParams) -> List[int]:
     """Ids, in order, of the qubits whose string ends (x + 1, y) and
     (x + d - 1, y) may lie within r_max of the strike, give or take a lattice
@@ -149,8 +142,9 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     t_move = detect(event, p) + 1.0
     x_max = m.width_units - d
 
-    threatened = [(qid, m.qubits[qid].anchor) for qid in _near_qubits(m, event, p)
-                  if not is_safe_position(m.qubits[qid], event, p)]
+    threatened = [(qid, a) for qid in _near_qubits(m, event, p)
+                  for a in [m.qubits[qid].anchor]
+                  if string_clearance_at(a.x, a.y, d, event, l) < p.r_max_mm]
     # By the epicenter distance of the nearest hole center or string qubit.
     threatened.sort(key=lambda item: min(  # stable: ties stay in id order
         math.hypot((item[1].x + k) * l - ex, item[1].y * l - ey)

@@ -319,6 +319,19 @@ class TestSimulateCommand:
             assert message in capsys.readouterr().err
             assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("sub", ["simulate", "sweep-l", "sweep-rmax",
+                                     "sweep-delta", "reliability",
+                                     "replicate-paper"])
+    def test_d_above_2_53_is_range_error(self, tmp_path, capsys, sub):
+        # simulate once escaped as an OverflowError from Mapping.width_mm;
+        # the other subcommands never read d that far and exited 0
+        cfg = write_config(tmp_path, "d = 1" + "0" * 400 + "\n")
+        out = tmp_path / "out"
+        code = main([sub, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RANGE
+        assert "d must be an integer in [2, 2**53]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_defaults_escape(self, tmp_path):
         # the default d is the solver's answer for the default physics
         out = tmp_path / "out"

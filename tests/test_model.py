@@ -5,36 +5,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crflight.model import (CreEvent, LatticePoint, LogicalQubit, PhysicalParams,
-                            phonon_radius, string_clearance_mm,
-                            string_overwhelmed)
+                            phonon_radius, string_clearance_at)
+
+from brute_force import brute_force_clearance, brute_force_compromised
 
 
 def params(l=1.0, d=11, v_p=2.5, delta=1.0, t_c=1.0, r_max=63.0, dl=1.0):
     return PhysicalParams(l, d, v_p, delta, t_c, r_max, dl)
 
 
-def brute_force_compromised(front, q, t):
-    """Independent oracle: point-in-disc test over every string position."""
-    event, params = front
-    r = phonon_radius(event, params, t)
-    ex, ey = event.x_mm, event.y_mm
-    l = params.l_mm
-    a = q.anchor
-    n = 0
-    for k in range(1, q.code_distance):
-        if math.hypot((a.x + k) * l - ex, a.y * l - ey) < r:
-            n += 1
-    return n
+def overwhelmed(front, q, t):
+    """The string rule as crflight spells it: radius > clearance."""
+    event, p = front
+    return phonon_radius(event, p, t) > string_clearance_at(
+        q.anchor.x, q.anchor.y, q.code_distance, event, p.l_mm)
 
 
 class TestPhysicalParams:
     @pytest.mark.parametrize("kwargs", [
         dict(l=0.0), dict(l=-1.0), dict(d=1), dict(v_p=-0.1),
         dict(delta=-1.0), dict(t_c=0.0), dict(r_max=-1.0), dict(dl=-1.0),
+        dict(d=2 ** 53 + 1), dict(d=10 ** 400),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             params(**kwargs)
+
+    def test_d_up_to_2_53_builds(self):
+        # The solver's d_max bound: past it consecutive d are not floats.
+        assert params(d=2 ** 53).d == 2 ** 53
+        assert params().with_d(2 ** 53).d == 2 ** 53
 
     def test_non_integer_d_rejected(self):
         with pytest.raises(ValueError):
@@ -87,20 +87,20 @@ class TestPhononRadius:
 
 
 class TestCompromisedCount:
-    """string_overwhelmed (radius > string clearance) against the disc count."""
+    """The string rule (radius > string clearance) against the disc count."""
 
     def test_zero_radius(self):
         q = LogicalQubit(LatticePoint(0, 0), 11)
         f = (CreEvent(5.5, 0.0), params())
         assert brute_force_compromised(f, q, 0.0) == 0
-        assert not string_overwhelmed(*f, q, 0.0)
+        assert not overwhelmed(f, q, 0.0)
 
     def test_full_coverage(self):
         q = LogicalQubit(LatticePoint(0, 0), 11)
         f = (CreEvent(5.5, 0.0), params())
         # radius 25 mm at t=10 engulfs the whole 10-qubit string
         assert brute_force_compromised(f, q, 10.0) == 10
-        assert string_overwhelmed(*f, q, 10.0)
+        assert overwhelmed(f, q, 10.0)
 
     def test_partial_coverage_matches_oracle(self):
         # epicenter at the string midpoint (5.5 mm), radius 2.6 mm after one
@@ -108,7 +108,7 @@ class TestCompromisedCount:
         q = LogicalQubit(LatticePoint(0, 0), 11)
         f = (CreEvent(5.5, 0.0), params(v_p=2.6))
         assert brute_force_compromised(f, q, 1.0) == 6
-        assert not string_overwhelmed(*f, q, 1.0)
+        assert not overwhelmed(f, q, 1.0)
 
     @settings(max_examples=200)
     @given(st.integers(2, 30), st.floats(-20, 40), st.floats(-20, 20),
@@ -116,7 +116,7 @@ class TestCompromisedCount:
     def test_matches_oracle_everywhere(self, d, ex, ey, t, l):
         q = LogicalQubit(LatticePoint(0, 0), d)
         f = (CreEvent(ex, ey), params(l=l, d=d))
-        assert string_overwhelmed(*f, q, t) == (
+        assert overwhelmed(f, q, t) == (
             brute_force_compromised(f, q, t) >= d - 1)
 
     @given(st.integers(2, 20), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
@@ -125,7 +125,7 @@ class TestCompromisedCount:
         f = (CreEvent(d / 2, 0.3), params(d=d, r_max=1e9))
         if t1 > t2:
             t1, t2 = t2, t1
-        assert string_overwhelmed(*f, q, t1) <= string_overwhelmed(*f, q, t2)
+        assert overwhelmed(f, q, t1) <= overwhelmed(f, q, t2)
 
     @settings(max_examples=300)
     @given(st.integers(2, 40), st.integers(-50, 50), st.integers(-50, 50),
@@ -134,8 +134,8 @@ class TestCompromisedCount:
         # reference: the distance to every one of the d - 1 string qubits
         q = LogicalQubit(LatticePoint(x, y), d)
         event = CreEvent(ex, ey)
-        assert string_clearance_mm(q, event, l) == max(
-            math.hypot((x + k) * l - ex, y * l - ey) for k in range(1, d))
+        assert string_clearance_at(x, y, d, event, l) == brute_force_clearance(
+            q, event, l)
 
 
 class TestDestruction:
@@ -145,7 +145,7 @@ class TestDestruction:
         p = params(d=d, r_max=40.0)
         f = (CreEvent(ex, ey), p)
         active = [t for t in range(0, int(p.t_dissipate_cycles) + 1)]
-        flags = [string_overwhelmed(*f, q, float(t)) for t in active]
+        flags = [overwhelmed(f, q, float(t)) for t in active]
         if True in flags:
             first = flags.index(True)
             assert all(flags[first:])

@@ -11,29 +11,18 @@ from hypothesis import strategies as st
 
 from crflight.mapping import Mapping, build_mapping
 from crflight.model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint,
-                            LogicalQubit, PhysicalParams, phonon_radius,
-                            string_clearance_mm)
+                            LogicalQubit, PhysicalParams, string_clearance_at)
 from crflight.simulate import (MovePlan, MoveStep, UnescapableError,
                                _crossing, _near_qubits, detect,
-                               displacement_plan, is_safe_position,
-                               plan_flight, simulate)
+                               displacement_plan, plan_flight, simulate)
 from crflight.solver import (HALF_D_MM, HALF_SEPARATION, HALFWAY,
                              StrikeScenario, check_feasibility)
+
+from brute_force import brute_force_clearance, brute_force_compromised
 
 
 def params(l=1.0, d=4, v_p=2.5, delta=1.0, t_c=1.0, r_max=6.0, dl=1.0):
     return PhysicalParams(l, d, v_p, delta, t_c, r_max, dl)
-
-
-def brute_force_compromised(front, q, t):
-    """Independent oracle: point-in-disc test over every string position."""
-    event, params = front
-    r = phonon_radius(event, params, t)
-    ex, ey = event.x_mm, event.y_mm
-    l = params.l_mm
-    a = q.anchor
-    return sum(math.hypot((a.x + k) * l - ex, a.y * l - ey) < r
-               for k in range(1, q.code_distance))
 
 
 def translated(q, dx, dy):
@@ -192,7 +181,8 @@ class TestPlanFlightProperties:
         try:
             plan = plan_flight(m, event, p)
         except UnescapableError as exc:
-            assert not is_safe_position(m.qubits[exc.qubit_id], event, p)
+            q = m.qubits[exc.qubit_id]
+            assert brute_force_clearance(q, event, p.l_mm) < p.r_max_mm
             return
         assert plan_flight(m, event, p) == plan
         assert all(plan.batch_count(qid) <= 3 for qid in plan.qubit_ids())
@@ -393,12 +383,16 @@ class TestContinuousTime:
 
 class TestSafety:
     def test_safe_iff_string_point_clears_r_max(self):
+        # The planner moves exactly the qubits whose clearance is below r_max.
         p = params(d=4, r_max=5.0)
         q = LogicalQubit(LatticePoint(0, 0), 4)
+        m = Mapping(1, 1, p, (q,), 40, 40)
         near = CreEvent(2.0, 0.0)     # clearance 1 mm < r_max
         far = CreEvent(2.0, 6.0)      # clearance > 6 mm
-        assert not is_safe_position(q, near, p)
-        assert is_safe_position(q, far, p)
+        assert brute_force_clearance(q, near, p.l_mm) < p.r_max_mm
+        assert brute_force_clearance(q, far, p.l_mm) > 6.0
+        assert plan_flight(m, near, p).qubit_ids() == (0,)
+        assert plan_flight(m, far, p) == MovePlan()
 
 
 class TestModelGap:
@@ -477,7 +471,7 @@ def reference_plan_flight(m, event, p):
                    for hx, hy in obstacles)
 
     threatened = [(qid, q) for qid, q in enumerate(m.qubits)
-                  if not is_safe_position(q, event, p)]
+                  if brute_force_clearance(q, event, p.l_mm) < p.r_max_mm]
     threatened.sort(key=lambda item: (
         min(math.hypot((item[1].anchor.x + k) * p.l_mm - event.x_mm,
                        item[1].anchor.y * p.l_mm - event.y_mm)
@@ -492,15 +486,16 @@ def reference_plan_flight(m, event, p):
         candidates = sorted((math.hypot(x2 - x, y2 - y), y2, x2)
                             for y2 in channels
                             for x2 in range(0, m.width_units - d + 1))
-        overrun = {y2: _crossing(string_clearance_mm(translated(q, 0, y2 - y),
-                                                     event, p.l_mm),
+        overrun = {y2: _crossing(brute_force_clearance(translated(q, 0, y2 - y),
+                                                       event, p.l_mm),
                                  t_move, t_move + d, event, p) is not None
                    for y2 in channels}
         obstacles = [h for other, hs in occupancy.items() if other != qid
                      for h in hs]
         chosen = fallback = None
         for _, y2, x2 in candidates:
-            if not is_safe_position(translated(q, x2 - x, y2 - y), event, p):
+            moved = translated(q, x2 - x, y2 - y)
+            if brute_force_clearance(moved, event, p.l_mm) < p.r_max_mm:
                 continue
             if any(leg_blocked(a, b, obstacles) for a, b in (
                     ((x, y), (x, y2)), ((x + d, y), (x + d, y2)),
@@ -683,7 +678,7 @@ class TestCullingOracle:
                              rng.choice((0.0, 7.0)))
             near = _near_qubits(m, event, p)
             reached = [qid for qid, q in enumerate(m.qubits)
-                       if string_clearance_mm(q, event, p.l_mm) < p.r_max_mm]
+                       if brute_force_clearance(q, event, p.l_mm) < p.r_max_mm]
             assert near == sorted(near) and set(reached) <= set(near)
             kinds.add("culled" if len(near) < len(m.qubits) else "all near")
 
@@ -722,9 +717,9 @@ class TestCullingOracle:
         for r_max, safe in ((5.0 * l, True), (5.0 * l + 1e-9, False)):
             p = params(l=l, v_p=1.0, r_max=r_max)
             m = Mapping(1, 1, p, (q,), 40, 40)
-            assert string_clearance_mm(q, event, l) == 5.0 * l
+            assert brute_force_clearance(q, event, l) == 5.0 * l
+            assert string_clearance_at(0, 0, 4, event, l) == 5.0 * l
             assert _near_qubits(m, event, p) == [0]
-            assert is_safe_position(q, event, p) is safe
             plan = plan_flight(m, event, p)
             assert (plan == MovePlan()) is safe
             outcome = simulate(m, event, p, MovePlan())
@@ -735,7 +730,7 @@ def reference_destruction_times(m, event, p, plan):
     """Independent oracle: the span walk over LogicalQubit objects. Every
     qubit holds its mapped position, then, in step start order, the qubit
     anchored at each step's target less hole_index * d along x; each span is
-    judged by string_clearance_mm and _crossing."""
+    judged by the brute-force clearance and _crossing."""
     destroyed_at = {}
     for qid, q in enumerate(m.qubits):
         d = q.code_distance
@@ -747,7 +742,7 @@ def reference_destruction_times(m, event, p, plan):
                 spans.append((s.start_cycle, LogicalQubit(anchor, d)))
         for k, (start, moved) in enumerate(spans):
             end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-            t = _crossing(string_clearance_mm(moved, event, p.l_mm), start,
+            t = _crossing(brute_force_clearance(moved, event, p.l_mm), start,
                           end, event, p)
             if t is not None:
                 destroyed_at[qid] = t
