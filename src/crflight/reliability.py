@@ -24,7 +24,7 @@ import numpy as np
 
 from .mapping import Mapping
 from .model import CreEvent, PhysicalParams
-from .simulate import UnescapableError, _destruction_times, plan_flight
+from .simulate import UnescapableError, _check_params, _escapes, _loss_time
 
 # Reference frame for the hole-hit probability: a region 10 cells wide by
 # 5 cells tall, each cell d * model.HOLE_SIDE_FRACTION on a side, holding
@@ -97,7 +97,10 @@ def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
     each trial's epicenter (uniforms 2i and 2i + 1), the other its Poisson
     strike count. The first n flags are therefore the same for any
     ``n_trials``. A trial with d - 1 or more strikes fails whatever its
-    epicenter, so simulator mode runs the flee simulator only on the rest.
+    epicenter, so simulator mode flies only the rest, planning and judging
+    one threatened qubit at a time up to the first loss. That is exact: an
+    unmoved qubit has clearance >= r_max, and a moved one's fate rests on
+    its own steps alone, final once planned.
     """
     point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
     u = np.random.Generator(np.random.Philox(point_seed)).random((n_trials, 2))
@@ -117,9 +120,9 @@ def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
     for i in np.flatnonzero(~failed):
         event = CreEvent(float(u[i, 0] * m.width_mm),
                          float(u[i, 1] * m.height_mm), 0.0)
-        try:  # any destruction loses a qubit of the chip
-            failed[i] = bool(_destruction_times(m, event, p,
-                                                plan_flight(m, event, p)))
+        try:  # any loss of a qubit fails the chip
+            failed[i] = any(_loss_time(m, qid, steps, event, p) is not None
+                            for qid, steps, _ in _escapes(m, event, p))
         except UnescapableError:
             failed[i] = True
     return failed
@@ -141,8 +144,10 @@ def monte_carlo_failure(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if predicate not in (ANALYTIC_PREDICATE, SIMULATOR_PREDICATE):
         raise ValueError(f"unknown predicate {predicate!r}")
-    if predicate == SIMULATOR_PREDICATE and r.d != m.params.d:
-        raise ValueError(f"simulator mode needs r.d = {m.params.d}, got {r.d}")
+    if predicate == SIMULATOR_PREDICATE:
+        if r.d != m.params.d:
+            raise ValueError(f"simulator mode needs r.d = {m.params.d}, got {r.d}")
+        _check_params(m, p)
     failed = _trial_failures(m, p, r, n_trials, seed, predicate)
     estimate = int(np.count_nonzero(failed)) / n_trials
     halfwidth = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n_trials)

@@ -26,7 +26,7 @@ import io
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .mapping import Mapping
 from .model import (HOLE_SIDE_FRACTION, CreEvent, LogicalQubit,
@@ -89,12 +89,17 @@ def detect(event: CreEvent, p: PhysicalParams) -> float:
     return event.t0_cycles + p.delta_cycles
 
 
+def _check_params(m: Mapping, p: PhysicalParams) -> None:
+    """ValueError unless p's d and l_mm are the mapping's."""
+    if (p.d, p.l_mm) != (m.params.d, m.params.l_mm):
+        raise ValueError(f"p has d = {p.d}, l_mm = {p.l_mm}; the mapping's differ")
+
+
 def _near_qubits(m: Mapping, event: CreEvent, p: PhysicalParams) -> List[int]:
     """Ids, in order, of the qubits whose string ends (x + 1, y) and
     (x + d - 1, y) may lie within r_max of the strike, give or take a lattice
     unit; ValueError if p's d or l_mm is not the mapping's."""
-    if (p.d, p.l_mm) != (m.params.d, m.params.l_mm):
-        raise ValueError(f"p has d = {p.d}, l_mm = {p.l_mm}; the mapping's differ")
+    _check_params(m, p)
     ys, rows = m.row_index
     cx, cy, r = event.x_mm / p.l_mm, event.y_mm / p.l_mm, p.r_max_mm / p.l_mm
     x_hi = cx + r - m.params.d + 2
@@ -138,6 +143,20 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
     a threatened qubit has no safe in-bounds target, and ValueError when p's
     d or l_mm is not the mapping's.
     """
+    steps: List[MoveStep] = []
+    fallback_qubits: List[int] = []
+    for qid, qubit_steps, fell_back in _escapes(m, event, p):
+        steps += qubit_steps
+        if fell_back:
+            fallback_qubits.append(qid)
+    return MovePlan(tuple(steps), tuple(fallback_qubits))
+
+
+def _escapes(m: Mapping, event: CreEvent, p: PhysicalParams
+             ) -> Iterator[Tuple[int, List[MoveStep], bool]]:
+    """``plan_flight``'s escapes one threatened qubit at a time, in planning
+    order: (id, its steps in start order, whether it fell back). Each is
+    final once yielded; UnescapableError comes when planning reaches it."""
     d, l, ex, ey = p.d, p.l_mm, event.x_mm, event.y_mm
     t_move = detect(event, p) + 1.0
     x_max = m.width_units - d
@@ -174,8 +193,6 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
             k += 1
         return None
 
-    steps: List[MoveStep] = []
-    fallback_qubits: List[int] = []
     for qid, a in threatened:
         x, y = a.x, a.y
         rows[y].remove(x)
@@ -194,10 +211,8 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
             raise UnescapableError(qid)
 
         x2, y2 = chosen
-        if overrun[y2]:
-            fallback_qubits.append(qid)
-        steps += [MoveStep(qid, 0, (x, y2), t_move),
-                  MoveStep(qid, 1, (x + d, y2), t_move)]
+        steps = [MoveStep(qid, 0, (x, y2), t_move),
+                 MoveStep(qid, 1, (x + d, y2), t_move)]
         if x2 != x:
             # Leading hole moves first so it never blocks the trailing one.
             order = (1, 0) if x2 > x else (0, 1)
@@ -205,8 +220,7 @@ def plan_flight(m: Mapping, event: CreEvent, p: PhysicalParams) -> MovePlan:
                       for n, h in enumerate(order)]
         for hx in (x2, x2 + d):
             insort(rows.setdefault(y2, []), hx)
-
-    return MovePlan(tuple(steps), tuple(fallback_qubits))
+        yield qid, steps, overrun[y2]
 
 
 def displacement_plan(qubit_id: int, q: LogicalQubit, dx_units: int,
@@ -234,37 +248,42 @@ def _crossing(thr: float, start: float, end: float, event: CreEvent,
     return t if t < end and t <= t0 + p.t_dissipate_cycles else None
 
 
+def _loss_time(m: Mapping, qid: int, steps: Iterable[MoveStep],
+               event: CreEvent, p: PhysicalParams) -> Optional[float]:
+    """Cycle at which qubit qid, taking its steps in start order, is lost,
+    or None. It holds its mapped anchor, then the anchor each step implies:
+    the step's target less hole_index * d along x, held from its start
+    cycle, so a two-batch horizontal run counts as translated from its
+    first batch. Each span [start, end) is judged in closed form by
+    ``_crossing``, with the string rule."""
+    d, a = p.d, m.qubits[qid].anchor
+    spans = [(-math.inf, a.x, a.y)]
+    for s in steps:
+        x, y = s.target[0] - s.hole_index * d, s.target[1]
+        if (x, y) != spans[-1][1:]:
+            spans.append((s.start_cycle, x, y))
+    for k, (start, x, y) in enumerate(spans):
+        end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
+        t = _crossing(string_clearance_at(x, y, d, event, p.l_mm), start,
+                      end, event, p)
+        if t is not None:
+            return t
+    return None
+
+
 def _destruction_times(m: Mapping, event: CreEvent, p: PhysicalParams,
                        plan: MovePlan) -> Dict[int, float]:
-    """Cycle at which each lost qubit is lost, in id order.
-
-    A qubit holds its mapped anchor, then, taking its steps in start order,
-    the anchor each step implies: the step's target less hole_index * d
-    along x, held from its start cycle, so a two-batch horizontal run counts
-    as translated from its first batch. Each span [start, end) is judged in
-    closed form by ``_crossing``, with the string rule; a qubit that neither
-    moves nor is near the strike survives. ValueError if p is not the
-    mapping's.
-    """
-    d = p.d
+    """Cycle at which each lost qubit is lost, in id order; a qubit that
+    neither moves nor is near the strike survives. ValueError if p is not
+    the mapping's."""
     steps_by_qubit: Dict[int, List[MoveStep]] = {}
     for s in sorted(plan.steps, key=lambda step: step.start_cycle):
         steps_by_qubit.setdefault(s.qubit_id, []).append(s)
     destroyed_at: Dict[int, float] = {}
     for qid in sorted(steps_by_qubit.keys() | _near_qubits(m, event, p)):
-        a = m.qubits[qid].anchor
-        spans = [(-math.inf, a.x, a.y)]
-        for s in steps_by_qubit.get(qid, ()):
-            x, y = s.target[0] - s.hole_index * d, s.target[1]
-            if (x, y) != spans[-1][1:]:
-                spans.append((s.start_cycle, x, y))
-        for k, (start, x, y) in enumerate(spans):
-            end = spans[k + 1][0] if k + 1 < len(spans) else math.inf
-            t = _crossing(string_clearance_at(x, y, d, event, p.l_mm), start,
-                          end, event, p)
-            if t is not None:
-                destroyed_at[qid] = t
-                break
+        t = _loss_time(m, qid, steps_by_qubit.get(qid, ()), event, p)
+        if t is not None:
+            destroyed_at[qid] = t
     return destroyed_at
 
 

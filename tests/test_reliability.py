@@ -1,10 +1,12 @@
+import hashlib
 import math
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crflight.mapping import build_mapping
@@ -189,6 +191,15 @@ class TestMonteCarlo:
         est, _ = monte_carlo_failure(m, p, r, 400, seed=1)
         assert 0.0 < est < 1.0
 
+    def test_simulator_mode_rejects_params_of_another_mapping(self):
+        # At lambda * tau = 60 every trial fails by count, so the check in
+        # the flight never ran: l_mm = 2 on this l = 1 chip gave (1.0, 0.0),
+        # where lambda * tau = 0.5 raised.
+        r = ReliabilityParams(60.0, 1.0, self.p.d)
+        for p in (replace(self.p, l_mm=2.0), replace(self.p, d=5)):
+            with pytest.raises(ValueError, match="the mapping's differ"):
+                monte_carlo_failure(self.m, p, r, 200, 4, predicate="simulator")
+
     @given(st.integers(0, 2 ** 32), st.integers(2, 12),
            st.floats(0.0, 15.0), st.floats(0.1, 3.0))
     def test_analytic_mode_matches_trial_loop(self, seed, d, mean, l_mm):
@@ -218,9 +229,9 @@ class TestMonteCarlo:
         r = ReliabilityParams(60.0, 1.0, self.p.d)
 
         def boom(*args, **kwargs):
-            raise AssertionError("plan_flight called for a failed trial")
+            raise AssertionError("a failed trial was flown")
 
-        monkeypatch.setattr("crflight.reliability.plan_flight", boom)
+        monkeypatch.setattr("crflight.reliability._escapes", boom)
         est, hw = monte_carlo_failure(self.m, self.p, r, 200, seed=4,
                                       predicate="simulator")
         assert est == 1.0 and hw == 0.0
@@ -288,3 +299,94 @@ class TestSimulatorModeOracle:
                 got = _trial_failures(m, p, r, n, seed, "simulator")
                 assert got.tolist() == want, (v_p, side)
         assert kinds == {"unescapable", "fallback", "lost", "survived"}
+
+
+def public_flags(m, p, r, n, seed, kinds):
+    """Simulator-mode flags judged through the public flight API only: a
+    trial fails when d - 1 or more strikes arrive, when plan_flight raises
+    UnescapableError, or when simulate reports any qubit of the chip lost.
+    Adds each flown trial's outcomes to ``kinds``; "lost later" is a loss
+    while the qubit planned first survives."""
+    point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
+    u = np.random.Generator(np.random.Philox(point_seed)).random((n, 2))
+    counts = np.random.Generator(np.random.Philox(count_seed)).poisson(
+        r.lambda_per_s * r.tau_s, n)
+    flags = []
+    for i in range(n):
+        if counts[i] >= r.d - 1:
+            flags.append(True)
+            continue
+        event = CreEvent(float(u[i, 0] * m.width_mm),
+                         float(u[i, 1] * m.height_mm), 0.0)
+        try:
+            plan = plan_flight(m, event, p)
+        except UnescapableError:
+            kinds.add("unescapable")
+            flags.append(True)
+            continue
+        survived = simulate(m, event, p, plan).survived
+        lost = not all(survived.values())
+        if plan.fallback_qubits:
+            kinds.add("fallback")
+        kinds.add("lost" if lost else "survived")
+        if lost and plan.steps and survived[plan.steps[0].qubit_id]:
+            kinds.add("lost later")
+        flags.append(lost)
+    return flags
+
+
+class TestSimulatorModeProperty:
+    """Simulator mode stops a trial at its first lost qubit. Checked per
+    trial, on drawn chips and physics, against the public flight API."""
+
+    def test_matches_public_flight(self):
+        kinds = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(rows=st.integers(1, 4), cols=st.integers(1, 4),
+               d=st.integers(2, 6), l=st.sampled_from((0.5, 1.0, 2.0)),
+               v_p=st.sampled_from((0.0, 0.05, 2.5)) | st.floats(0.1, 3.0),
+               delta=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 5.0),
+               r_max=st.just(0.0) | st.floats(0.5, 20.0),
+               mean=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
+        # Every trial flies, and they fall back, are lost, survive, find no
+        # escape, and once lose a qubit planned after one that survives.
+        @example(rows=3, cols=3, d=4, l=1.0, v_p=1.0, delta=0.5, r_max=12.0,
+                 mean=0.0, seed=2)
+        def check(rows, cols, d, l, v_p, delta, r_max, mean, seed):
+            p = PhysicalParams(l, d, v_p, delta, 1.0, r_max)
+            m = build_mapping(rows, cols, p)
+            r = ReliabilityParams(1.0, mean, d)
+            want = public_flags(m, p, r, 30, seed, kinds)
+            got = _trial_failures(m, p, r, 30, seed, "simulator")
+            assert got.tolist() == want
+
+        check()
+        assert kinds == {"unescapable", "fallback", "lost", "survived",
+                         "lost later"}
+
+
+class TestSimulatorModeDigest:
+    """Pins simulator-mode Monte Carlo flags, and so every estimate, per
+    seed: three physics on every chip from 1x1 to 3x3, 200 trials each. A
+    change that alters any flag must update SIM_MC_DIGEST and say so in
+    CHANGES.md."""
+
+    SIM_MC_DIGEST = ("79b3650a5dbfba5f3af18c08de9ccce4"
+                     "503718d1b5cfb9eef2819c08f5b18d15")
+
+    def test_flags_match_digest(self):
+        h = hashlib.sha256()
+        for k, (l, d, v_p, delta, r_max) in enumerate((
+                (1.0, 4, 2.5, 1.5, 8.0),    # the benchmark's physics
+                (1.0, 4, 1.0, 0.5, 12.0),
+                (0.5, 5, 1.0, 0.0, 5.0))):
+            p = PhysicalParams(l, d, v_p, delta, 1.0, r_max)
+            r = ReliabilityParams(2.0, 0.5, d)
+            for rows in (1, 2, 3):
+                for cols in (1, 2, 3):
+                    m = build_mapping(rows, cols, p)
+                    flags = _trial_failures(m, p, r, 200, 100 * k + 10 * rows
+                                            + cols, "simulator")
+                    h.update(np.packbits(flags).tobytes())
+        assert h.hexdigest() == self.SIM_MC_DIGEST
