@@ -105,22 +105,19 @@ def sweep_values_from(cfg: Dict[str, object],
     elif start is None or stop is None:
         raise ConfigError("sweep_start and sweep_stop must be given "
                           "together, and sweep_step only with both")
-    if not step > 0:
-        raise ConfigError(f"sweep_step must be > 0, got {step}")
+    if not 0 < step < math.inf:
+        raise ConfigError(f"sweep_step must be > 0 and finite, got {step}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep_start and sweep_stop must be finite, got "
                          f"{start} and {stop}")
-    # Counted before the loop, which would otherwise run out of memory.
+    # A step at most half an ulp of the largest value would repeat values.
     top = max(abs(start), abs(stop) + 1e-9)
     if not step > math.ulp(top) / 2:
         raise ValueError(f"sweep_step {step} is too small to advance grid "
                          f"values near {top}")
-    if (stop + 1e-9 - start) / step >= MAX_SWEEP_POINTS:
+    span = stop + 1e-9 - start
+    if span / step >= MAX_SWEEP_POINTS:
         raise ValueError(f"the sweep grid holds more than {MAX_SWEEP_POINTS} "
                          "points")
-    out = []
-    v = start
-    while v <= stop + 1e-9:
-        out.append(round(v, 12))
-        v += step
-    return out
+    # Each value from its index, so that no rounding error accumulates.
+    return [round(start + i * step, 12) for i in range(math.floor(span / step) + 1)]

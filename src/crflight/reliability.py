@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from .mapping import Mapping
 from .model import CreEvent, PhysicalParams
-from .simulate import UnescapableError, _check_params, _escapes, _loss_time
+from .simulate import _check_params, _flight_lost
 
 # Reference frame for the hole-hit probability: a region 10 cells wide by
 # 5 cells tall, each cell d * model.HOLE_SIDE_FRACTION on a side, holding
@@ -89,7 +89,7 @@ def failure_probability(r: ReliabilityParams) -> float:
     return 1.0 - (1.0 - r.p_hole_hit) * p_few_hits(r.d, r.lambda_per_s, r.tau_s)
 
 
-def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
+def _trial_failures(m: Optional[Mapping], p: PhysicalParams, r: ReliabilityParams,
                     n_trials: int, seed: int, predicate: str) -> np.ndarray:
     """Boolean failure flag per trial.
 
@@ -97,10 +97,8 @@ def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
     each trial's epicenter (uniforms 2i and 2i + 1), the other its Poisson
     strike count. The first n flags are therefore the same for any
     ``n_trials``. A trial with d - 1 or more strikes fails whatever its
-    epicenter, so simulator mode flies only the rest, planning and judging
-    one threatened qubit at a time up to the first loss. That is exact: an
-    unmoved qubit has clearance >= r_max, and a moved one's fate rests on
-    its own steps alone, final once planned.
+    epicenter, so simulator mode flies only the rest, each judged by
+    ``simulate._flight_lost``.
     """
     point_seed, count_seed = np.random.SeedSequence(seed).spawn(2)
     u = np.random.Generator(np.random.Philox(point_seed)).random((n_trials, 2))
@@ -118,18 +116,13 @@ def _trial_failures(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
             failed |= (np.abs(x - cx) < 0.5) & (np.abs(y - cy) < 0.5)
         return failed
     for i in np.flatnonzero(~failed):
-        event = CreEvent(float(u[i, 0] * m.width_mm),
-                         float(u[i, 1] * m.height_mm), 0.0)
-        try:  # any loss of a qubit fails the chip
-            failed[i] = any(_loss_time(m, qid, steps, event, p) is not None
-                            for qid, steps, _ in _escapes(m, event, p))
-        except UnescapableError:
-            failed[i] = True
+        failed[i] = _flight_lost(m, CreEvent(float(u[i, 0] * m.width_mm),
+                                              float(u[i, 1] * m.height_mm), 0.0), p)
     return failed
 
 
-def monte_carlo_failure(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
-                        n_trials: int, seed: int,
+def monte_carlo_failure(m: Optional[Mapping], p: PhysicalParams,
+                        r: ReliabilityParams, n_trials: int, seed: int,
                         predicate: str = ANALYTIC_PREDICATE
                         ) -> Tuple[float, float]:
     """Failure fraction and 95% binomial half-width over seeded trials.
@@ -137,14 +130,17 @@ def monte_carlo_failure(m: Mapping, p: PhysicalParams, r: ReliabilityParams,
     ``analytic`` mirrors the analytic model's assumptions: a uniform
     epicenter over the reference frame (failure if inside a hole cell)
     plus a Poisson count of strikes during tau (failure at d - 1 or
-    more). ``simulator`` instead runs the flee simulator on the supplied
-    mapping for each sampled strike.
+    more); it reads neither ``m`` nor ``p``. ``simulator`` instead runs
+    the flee simulator on the mapping ``m`` for each sampled strike, and
+    any lost qubit fails the chip.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if predicate not in (ANALYTIC_PREDICATE, SIMULATOR_PREDICATE):
         raise ValueError(f"unknown predicate {predicate!r}")
     if predicate == SIMULATOR_PREDICATE:
+        if m is None:
+            raise ValueError("simulator mode needs a mapping")
         if r.d != m.params.d:
             raise ValueError(f"simulator mode needs r.d = {m.params.d}, got {r.d}")
         _check_params(m, p)

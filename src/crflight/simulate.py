@@ -95,19 +95,22 @@ def _check_params(m: Mapping, p: PhysicalParams) -> None:
         raise ValueError(f"p has d = {p.d}, l_mm = {p.l_mm}; the mapping's differ")
 
 
-def _near_qubits(m: Mapping, event: CreEvent, p: PhysicalParams) -> List[int]:
-    """Ids, in order, of the qubits whose string ends (x + 1, y) and
-    (x + d - 1, y) may lie within r_max of the strike, give or take a lattice
-    unit; ValueError if p's d or l_mm is not the mapping's."""
+def _threatened(m: Mapping, event: CreEvent, p: PhysicalParams) -> List[int]:
+    """Ids, in order, of the qubits whose string clearance at their mapped
+    anchor is below r_max: those the strike can take, looked up in the row
+    index a lattice unit beyond r_max. ValueError if p is not the mapping's."""
     _check_params(m, p)
+    d, l, r_max = p.d, p.l_mm, p.r_max_mm
     ys, rows = m.row_index
-    cx, cy, r = event.x_mm / p.l_mm, event.y_mm / p.l_mm, p.r_max_mm / p.l_mm
-    x_hi = cx + r - m.params.d + 2
-    near: List[int] = []
+    cx, cy, r = event.x_mm / l, event.y_mm / l, r_max / l
+    x_hi = cx + r - d + 2
+    threatened: List[int] = []
     for y in ys[bisect_left(ys, cy - r - 1):bisect_right(ys, cy + r + 1)]:
         xs, ids, _ = rows[y]
-        near += ids[bisect_left(xs, cx - r - 2):bisect_right(xs, x_hi)]
-    return sorted(near)
+        lo, hi = bisect_left(xs, cx - r - 2), bisect_right(xs, x_hi)
+        threatened += [ids[i] for i in range(lo, hi)
+                       if string_clearance_at(xs[i], y, d, event, l) < r_max]
+    return sorted(threatened)
 
 
 def _legs_blocked(x: int, y: int, x2: int, y2: int,
@@ -161,9 +164,7 @@ def _escapes(m: Mapping, event: CreEvent, p: PhysicalParams
     t_move = detect(event, p) + 1.0
     x_max = m.width_units - d
 
-    threatened = [(qid, a) for qid in _near_qubits(m, event, p)
-                  for a in [m.qubits[qid].anchor]
-                  if string_clearance_at(a.x, a.y, d, event, l) < p.r_max_mm]
+    threatened = [(qid, m.qubits[qid].anchor) for qid in _threatened(m, event, p)]
     # By the epicenter distance of the nearest hole center or string qubit.
     threatened.sort(key=lambda item: min(  # stable: ties stay in id order
         math.hypot((item[1].x + k) * l - ex, item[1].y * l - ey)
@@ -271,30 +272,32 @@ def _loss_time(m: Mapping, qid: int, steps: Iterable[MoveStep],
     return None
 
 
-def _destruction_times(m: Mapping, event: CreEvent, p: PhysicalParams,
-                       plan: MovePlan) -> Dict[int, float]:
-    """Cycle at which each lost qubit is lost, in id order; a qubit that
-    neither moves nor is near the strike survives. ValueError if p is not
-    the mapping's."""
-    steps_by_qubit: Dict[int, List[MoveStep]] = {}
-    for s in sorted(plan.steps, key=lambda step: step.start_cycle):
-        steps_by_qubit.setdefault(s.qubit_id, []).append(s)
-    destroyed_at: Dict[int, float] = {}
-    for qid in sorted(steps_by_qubit.keys() | _near_qubits(m, event, p)):
-        t = _loss_time(m, qid, steps_by_qubit.get(qid, ()), event, p)
-        if t is not None:
-            destroyed_at[qid] = t
-    return destroyed_at
+def _flight_lost(m: Mapping, event: CreEvent, p: PhysicalParams) -> bool:
+    """Whether fleeing the strike loses a qubit, an UnescapableError from
+    the planner included, decided at the first loss. That is exact: an
+    unmoved qubit outside ``_threatened`` has clearance >= r_max, a moved
+    one's fate rests on its own steps alone, final once ``_escapes`` yields
+    them, and an UnescapableError after a loss leaves the answer True."""
+    try:
+        return any(_loss_time(m, qid, steps, event, p) is not None
+                   for qid, steps, _ in _escapes(m, event, p))
+    except UnescapableError:
+        return True
 
 
 def simulate(m: Mapping, event: CreEvent, p: PhysicalParams,
              plan: MovePlan) -> SimOutcome:
-    """Record per-qubit survival, the exact time of each destruction (from
+    """Record per-qubit survival, the exact time of each destruction and
 
-    ``_destruction_times``) and the strike's event timeline. ValueError if
-    p is not the mapping's.
+    the strike's event timeline. Only moved and threatened qubits can be
+    lost, each judged by ``_loss_time``. ValueError if p is not the mapping's.
     """
-    destroyed_at = _destruction_times(m, event, p, plan)
+    steps_by_qubit: Dict[int, List[MoveStep]] = {}
+    for s in sorted(plan.steps, key=lambda step: step.start_cycle):
+        steps_by_qubit.setdefault(s.qubit_id, []).append(s)
+    times = {qid: _loss_time(m, qid, steps_by_qubit.get(qid, ()), event, p)
+             for qid in sorted(steps_by_qubit.keys() | _threatened(m, event, p))}
+    destroyed_at = {qid: t for qid, t in times.items() if t is not None}
     t0 = event.t0_cycles
     timeline: List[Tuple[float, str, Optional[int], str]] = [
         (t0, "strike", None, f"({event.x_mm:g},{event.y_mm:g})"),

@@ -18,7 +18,7 @@ alternative convention.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .model import PhysicalParams
@@ -106,7 +106,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     parameter: str
-    rows: Tuple[SweepRow, ...] = field(default_factory=tuple)
+    rows: Tuple[SweepRow, ...]
 
 
 def sweep_points(parameter: str, points: Iterable[Tuple[float, PhysicalParams]],
@@ -158,6 +158,8 @@ def read_sweep_csv(inp: Iterable[str]) -> SweepResult:
     rows = []
     parameter = None
     for rec in rd:
+        if len(rec) != len(SWEEP_CSV_HEADER) or rec[2] not in SCENARIOS:
+            raise ValueError(f"malformed sweep CSV row {rec}")
         parameter = rec[0]
         min_d = None if rec[3] == INFEASIBLE else int(rec[3])
         rows.append(SweepRow(float(rec[1]), rec[2], min_d))

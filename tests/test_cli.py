@@ -118,6 +118,29 @@ class TestConfig:
         path = write_config(tmp_path, "sweep_start = 3\nsweep_values = 4\n")
         assert sweep_values_from(parse_config(path), (5.0, 9.0)) == [4.0]
 
+    @pytest.mark.parametrize("start, stop, step, n", [
+        (0.1, 60, 0.1, 600), (0, 9999, 0.1, 99991), (-3, 3, 0.25, 25)],
+        ids=["tenths-to-60", "tenths-to-9999", "quarters"])
+    def test_long_fractional_grid_does_not_drift(self, tmp_path, start, stop,
+                                                 step, n):
+        # Summing the step drifted: 0.1..60 held 54.200000000001 and ended at
+        # 60.000000000001, and 0..9999 lost its endpoint (99 990 values).
+        path = write_config(tmp_path, f"sweep_start = {start}\n"
+                            f"sweep_stop = {stop}\nsweep_step = {step}\n")
+        values = sweep_values_from(parse_config(path), (5.0, 9.0))
+        assert len(values) == n and values[-1] == stop
+        assert all(abs(v - (start + i * step)) <= 1.5e-12
+                   for i, v in enumerate(values))
+        if step == 0.1:
+            assert values[int(round((54.2 - start) * 10))] == 54.2
+
+    def test_infinite_step_rejected(self, tmp_path):
+        # Index times step is NaN at index 0 for an infinite step.
+        path = write_config(tmp_path, "sweep_start = 3\nsweep_stop = 3\n"
+                            "sweep_step = inf\n")
+        with pytest.raises(ConfigError, match="sweep_step must be > 0 and finite"):
+            sweep_values_from(parse_config(path), (5.0, 9.0))
+
 
 class TestSweepCommands:
     def test_default_rmax_sweep(self, tmp_path):
@@ -380,6 +403,25 @@ class TestReliabilityCommand:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert math.isclose(float(first[1]), 0.04, rel_tol=1e-9)
+
+    def test_builds_no_mapping(self, tmp_path, monkeypatch):
+        # Analytic mode never read the mapping, but a 1000 x 1000 chip was
+        # built anyway (2.65 s, 258 MB) and a 100000 x 100000 one ran out of
+        # memory.
+        text = "tau_points = 3\nn_trials = 500\n"
+        small, large = tmp_path / "small", tmp_path / "large"
+        assert main(["reliability", "--config", str(write_config(
+            tmp_path, text)), "--out", str(small)]) == EXIT_OK
+
+        def boom(*args, **kwargs):
+            raise AssertionError("reliability built a mapping")
+
+        monkeypatch.setattr("crflight.cli.build_mapping", boom)
+        cfg = write_config(tmp_path, text + "rows = 100000\ncols = 100000\n")
+        assert main(["reliability", "--config", str(cfg), "--out",
+                     str(large)]) == EXIT_OK
+        assert ((large / "reliability.csv").read_bytes()
+                == (small / "reliability.csv").read_bytes())
 
     def test_bad_tau_grid_is_range_error(self, tmp_path):
         cfg = write_config(tmp_path, "tau_s_min = 0\n")

@@ -200,6 +200,14 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="the mapping's differ"):
                 monte_carlo_failure(self.m, p, r, 200, 4, predicate="simulator")
 
+    def test_analytic_mode_needs_no_mapping(self):
+        r = ReliabilityParams(1.0, 0.5, self.p.d)
+        assert (monte_carlo_failure(None, self.p, r, 500, seed=3)
+                == monte_carlo_failure(self.m, self.p, r, 500, seed=3))
+        with pytest.raises(ValueError, match="simulator mode needs a mapping"):
+            monte_carlo_failure(None, self.p, r, 500, seed=3,
+                                predicate="simulator")
+
     @given(st.integers(0, 2 ** 32), st.integers(2, 12),
            st.floats(0.0, 15.0), st.floats(0.1, 3.0))
     def test_analytic_mode_matches_trial_loop(self, seed, d, mean, l_mm):
@@ -231,7 +239,7 @@ class TestMonteCarlo:
         def boom(*args, **kwargs):
             raise AssertionError("a failed trial was flown")
 
-        monkeypatch.setattr("crflight.reliability._escapes", boom)
+        monkeypatch.setattr("crflight.reliability._flight_lost", boom)
         est, hw = monte_carlo_failure(self.m, self.p, r, 200, seed=4,
                                       predicate="simulator")
         assert est == 1.0 and hw == 0.0

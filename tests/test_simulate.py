@@ -13,7 +13,7 @@ from crflight.mapping import Mapping, build_mapping
 from crflight.model import (HOLE_SIDE_FRACTION, CreEvent, LatticePoint,
                             LogicalQubit, PhysicalParams, string_clearance_at)
 from crflight.simulate import (MovePlan, MoveStep, UnescapableError,
-                               _crossing, _near_qubits, detect,
+                               _crossing, _threatened, detect,
                                displacement_plan, plan_flight, simulate)
 from crflight.solver import (HALF_D_MM, HALF_SEPARATION, HALFWAY,
                              StrikeScenario, check_feasibility)
@@ -647,15 +647,17 @@ SIMULATE_MODULE = importlib.import_module("crflight.simulate")
 
 
 def every_qubit(m, event, p):
-    """Stands in for the row-index lookup: every qubit counts as near."""
-    return list(range(len(m.qubits)))
+    """Stands in for ``_threatened``: a pass over every qubit with the
+    brute-force clearance."""
+    return [qid for qid, q in enumerate(m.qubits)
+            if brute_force_clearance(q, event, p.l_mm) < p.r_max_mm]
 
 
 class TestCullingOracle:
-    """plan_flight and simulate look up only the qubits near the strike in
-    the mapping's row index. Checked here against passes over every qubit:
-    the reference planner, and simulate with the lookup replaced by
-    ``every_qubit``."""
+    """plan_flight and simulate find the threatened qubits through the
+    mapping's row index. Checked here against passes over every qubit: the
+    brute-force threatened set, the reference planner, and simulate with
+    ``_threatened`` replaced by ``every_qubit``."""
 
     def test_matches_every_qubit_pass(self, monkeypatch):
         rng = random.Random(13)
@@ -676,10 +678,8 @@ class TestCullingOracle:
             event = CreEvent(rng.uniform(-0.2, 1.2) * m.width_mm,
                              rng.uniform(-0.2, 1.2) * m.height_mm,
                              rng.choice((0.0, 7.0)))
-            near = _near_qubits(m, event, p)
-            reached = [qid for qid, q in enumerate(m.qubits)
-                       if brute_force_clearance(q, event, p.l_mm) < p.r_max_mm]
-            assert near == sorted(near) and set(reached) <= set(near)
+            near = _threatened(m, event, p)
+            assert near == every_qubit(m, event, p)
             kinds.add("culled" if len(near) < len(m.qubits) else "all near")
 
             results = []
@@ -698,7 +698,7 @@ class TestCullingOracle:
             for plan in plans:
                 got = simulate(m, event, p, plan)
                 with monkeypatch.context() as patch:
-                    patch.setattr(SIMULATE_MODULE, "_near_qubits", every_qubit)
+                    patch.setattr(SIMULATE_MODULE, "_threatened", every_qubit)
                     want = simulate(m, event, p, plan)
                 assert got == want
                 assert list(got.destroyed_at) == list(want.destroyed_at)
@@ -719,7 +719,7 @@ class TestCullingOracle:
             m = Mapping(1, 1, p, (q,), 40, 40)
             assert brute_force_clearance(q, event, l) == 5.0 * l
             assert string_clearance_at(0, 0, 4, event, l) == 5.0 * l
-            assert _near_qubits(m, event, p) == [0]
+            assert _threatened(m, event, p) == ([] if safe else [0])
             plan = plan_flight(m, event, p)
             assert (plan == MovePlan()) is safe
             outcome = simulate(m, event, p, MovePlan())

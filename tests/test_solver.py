@@ -220,3 +220,12 @@ class TestSweep:
         back = read_sweep_csv(io.StringIO(text))
         assert back.rows == result.rows
         assert back.parameter == result.parameter
+
+    @pytest.mark.parametrize("row", [
+        "r_max,1.0,halfway,5", "r_max,1.0,halfway,5,true,extra",
+        "r_max,1.0,sideways,5,true"], ids=["short", "long", "unknown-scenario"])
+    def test_csv_rejects_malformed_row(self, row):
+        # A short row raised IndexError, and an unknown scenario was read in.
+        text = "param,value,scenario,min_d,feasible\n" + row + "\n"
+        with pytest.raises(ValueError, match="malformed sweep CSV row"):
+            read_sweep_csv(io.StringIO(text))
